@@ -5,6 +5,7 @@
 namespace upec::sat {
 
 void append_metrics(util::MetricsSnapshot& out, const SolverStats& stats) {
+  out.add_counter("chrono_backtracks", stats.chrono_backtracks);
   out.add_counter("conflicts", stats.conflicts);
   out.add_counter("decisions", stats.decisions);
   out.add_counter("deleted_clauses", stats.deleted_clauses);
@@ -19,6 +20,7 @@ void append_metrics(util::MetricsSnapshot& out, const SolverStats& stats) {
 SolverStats solver_stats_from_metrics(const util::MetricsSnapshot& snap,
                                       const std::string& prefix) {
   SolverStats s;
+  s.chrono_backtracks = snap.get(prefix + "chrono_backtracks");
   s.conflicts = snap.get(prefix + "conflicts");
   s.decisions = snap.get(prefix + "decisions");
   s.deleted_clauses = snap.get(prefix + "deleted_clauses");

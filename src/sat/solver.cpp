@@ -22,6 +22,7 @@ void Solver::reset() {
   seen_.clear();
   analyze_stack_.clear();
   analyze_toclear_.clear();
+  kept_.clear();
   trail_.clear();
   trail_lim_.clear();
   qhead_ = 0;
@@ -119,7 +120,7 @@ bool Solver::add_clause(const std::vector<Lit>& lits_in) {
     return false;
   }
   if (out.size() == 1) {
-    uncheckedEnqueue(out[0], kNoClause);
+    uncheckedEnqueue(out[0], 0, kNoClause);
     ok_ = (propagate() == kNoClause);
     return ok_;
   }
@@ -128,10 +129,11 @@ bool Solver::add_clause(const std::vector<Lit>& lits_in) {
   return true;
 }
 
-void Solver::uncheckedEnqueue(Lit p, ClauseRef from) {
+void Solver::uncheckedEnqueue(Lit p, int level, ClauseRef from) {
   assert(value(p) == LBool::Undef);
+  assert(level <= decision_level());
   assigns_[static_cast<std::size_t>(p.var())] = lbool_from(!p.sign());
-  var_info_[static_cast<std::size_t>(p.var())] = VarInfo{from, decision_level()};
+  var_info_[static_cast<std::size_t>(p.var())] = VarInfo{from, level};
   trail_.push_back(p);
 }
 
@@ -139,6 +141,7 @@ Solver::ClauseRef Solver::propagate() {
   ClauseRef confl = kNoClause;
   while (qhead_ < trail_.size()) {
     const Lit p = trail_[qhead_++];
+    const int p_level = level(p.var());
     ++stats_.propagations;
     auto& ws = watches_[p.index()];
     std::size_t i = 0, j = 0;
@@ -174,14 +177,35 @@ Solver::ClauseRef Solver::propagate() {
       if (found) continue;
 
       // Clause is unit or conflicting.
-      ws[j++] = Watcher{w.cref, first};
       if (value(first) == LBool::False) {
+        ws[j++] = Watcher{w.cref, first};
         confl = w.cref;
         qhead_ = trail_.size();
         while (i < n) ws[j++] = ws[i++];
-      } else {
-        uncheckedEnqueue(first, w.cref);
+        continue;
       }
+      // Unit: `first` is implied at the highest level among the false
+      // literals. Below the current level that may not be p's level; then
+      // the highest one takes over the second watch, so backtracking below
+      // it frees both watched literals together.
+      int implied_level = p_level;
+      std::uint32_t max_k = 1;
+      if (p_level < decision_level()) {
+        for (std::uint32_t k = 2; k < cd.size; ++k) {
+          const int lv = level(lits[k].var());
+          if (lv > implied_level) {
+            implied_level = lv;
+            max_k = k;
+          }
+        }
+      }
+      if (max_k == 1) {
+        ws[j++] = Watcher{w.cref, first};
+      } else {
+        std::swap(lits[1], lits[max_k]);
+        watches_[(~lits[1]).index()].push_back(Watcher{w.cref, first});
+      }
+      uncheckedEnqueue(first, implied_level, w.cref);
     }
     ws.resize(j);
     if (confl != kNoClause) break;
@@ -204,6 +228,36 @@ void Solver::cla_bump_activity(ClauseData& c) {
     for (ClauseRef cr : learnts_) clauses_[cr].activity *= 1e-20f;
     cla_inc_ *= 1e-20f;
   }
+}
+
+int Solver::conflict_level(ClauseRef confl, bool& forced) {
+  const std::uint32_t size = clauses_[confl].size;
+  Lit* lits = clause_lits(confl);
+  // Indices of the highest and second-highest level literals.
+  std::uint32_t hi = 0, second = 1;
+  if (level(lits[1].var()) > level(lits[0].var())) std::swap(hi, second);
+  for (std::uint32_t k = 2; k < size; ++k) {
+    const int lv = level(lits[k].var());
+    if (lv > level(lits[hi].var())) {
+      second = hi;
+      hi = k;
+    } else if (lv > level(lits[second].var())) {
+      second = k;
+    }
+  }
+  // Watch the two highest: backtracking below the conflict level must free
+  // a watched literal, or the clause could turn unit without being seen.
+  if (hi > 1 || second > 1) {
+    detach_clause(confl);
+    std::swap(lits[0], lits[hi]);
+    std::swap(lits[1], lits[second == 0 ? hi : second]);
+    attach_clause(confl);
+  } else if (hi == 1) {
+    std::swap(lits[0], lits[1]);
+  }
+  const int top = level(lits[0].var());
+  forced = top > level(lits[1].var());
+  return top;
 }
 
 void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btlevel,
@@ -232,8 +286,14 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
         }
       }
     }
-    // Select next literal on the trail to expand.
-    while (!seen_[static_cast<std::size_t>(trail_[index - 1].var())]) --index;
+    // Select next literal on the trail to expand. Seen literals below the
+    // conflict level are already in out_learnt; on the out-of-order trail
+    // they can sit among the conflict level's literals.
+    for (;;) {
+      const Var u = trail_[index - 1].var();
+      if (seen_[static_cast<std::size_t>(u)] && level(u) >= decision_level()) break;
+      --index;
+    }
     p = trail_[--index];
     confl = var_info_[static_cast<std::size_t>(p.var())].reason;
     seen_[static_cast<std::size_t>(p.var())] = 0;
@@ -353,7 +413,9 @@ bool Solver::lit_redundant(Lit p, std::uint32_t abstract_levels) {
 void Solver::analyze_final(Lit p) {
   conflict_.clear();
   conflict_.push_back(~p);
-  if (decision_level() == 0) {
+  if (level(p.var()) == 0) {
+    // Refuted by the formula alone (the trail may hold root facts above
+    // decision level 0).
     return;
   }
   seen_[static_cast<std::size_t>(p.var())] = 1;
@@ -382,17 +444,26 @@ void Solver::analyze_final(Lit p) {
   conflict_.erase(std::unique(conflict_.begin(), conflict_.end()), conflict_.end());
 }
 
-void Solver::cancel_until(int level) {
-  if (decision_level() <= level) return;
-  for (std::size_t c = trail_.size(); c-- > static_cast<std::size_t>(trail_lim_[level]);) {
+void Solver::cancel_until(int target) {
+  if (decision_level() <= target) return;
+  const auto start = static_cast<std::size_t>(trail_lim_[static_cast<std::size_t>(target)]);
+  kept_.clear();
+  for (std::size_t c = trail_.size(); c-- > start;) {
     const Var v = trail_[c].var();
+    if (level(v) <= target) {
+      // Assigned out of order at a level that survives. Its propagation
+      // may have relied on literals undone here, so it is re-queued.
+      kept_.push_back(trail_[c]);
+      continue;
+    }
     assigns_[static_cast<std::size_t>(v)] = LBool::Undef;
     phase_[static_cast<std::size_t>(v)] = trail_[c].sign() ? -1 : 1;
     if (heap_pos_[static_cast<std::size_t>(v)] < 0) heap_insert(v);
   }
-  qhead_ = static_cast<std::size_t>(trail_lim_[level]);
-  trail_.resize(static_cast<std::size_t>(trail_lim_[level]));
-  trail_lim_.resize(static_cast<std::size_t>(level));
+  qhead_ = std::min(qhead_, start);
+  trail_.resize(start);
+  trail_.insert(trail_.end(), kept_.rbegin(), kept_.rend());
+  trail_lim_.resize(static_cast<std::size_t>(target));
 }
 
 Lit Solver::pick_branch_lit() {
@@ -506,7 +577,7 @@ bool Solver::import_foreign() {
       break;
     }
     if (out.size() == 1) {
-      uncheckedEnqueue(out[0], kNoClause);
+      uncheckedEnqueue(out[0], 0, kNoClause);
       enqueued = true;
     } else {
       const ClauseRef cr = alloc_clause(out, /*learned=*/true);
@@ -596,11 +667,25 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
         }
         progress_hook_(p);
       }
-      if (decision_level() == 0) {
+      // The conflict may sit below the current level: out-of-order
+      // implications carry their reason's level, not the decision level.
+      bool forced = false;
+      const int confl_level = conflict_level(confl, forced);
+      if (confl_level == 0) {
         // Conflict independent of assumptions: formula is UNSAT outright.
         ok_ = false;
         return false;
       }
+      if (forced) {
+        // One literal alone on the conflict level: one level down the
+        // conflict clause is unit on it and serves as its reason, with no
+        // analysis.
+        cancel_until(confl_level - 1);
+        const Lit* lits = clause_lits(confl);
+        uncheckedEnqueue(lits[0], level(lits[1].var()), confl);
+        continue;
+      }
+      cancel_until(confl_level);
       std::vector<Lit> learnt;
       int bt_level = 0;
       unsigned lbd = 0;
@@ -609,11 +694,18 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
         ++stats_.exported_clauses;
         export_hook_(learnt, lbd);
       }
-      // Never backtrack past the assumptions: redo them via the decision loop.
-      cancel_until(bt_level);
+      // Long jumps backtrack chronologically; either way the asserting
+      // literal is assigned at bt_level, its real level. Backtracking past
+      // the assumptions is fine: the decision loop redoes them.
+      if (confl_level - bt_level > kChronoThreshold) {
+        ++stats_.chrono_backtracks;
+        cancel_until(confl_level - 1);
+      } else {
+        cancel_until(bt_level);
+      }
       if (learnt.size() == 1) {
         if (value(learnt[0]) == LBool::Undef) {
-          uncheckedEnqueue(learnt[0], kNoClause);
+          uncheckedEnqueue(learnt[0], 0, kNoClause);
         } else if (value(learnt[0]) == LBool::False) {
           ok_ = false;
           return false;
@@ -624,7 +716,7 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
         attach_clause(cr);
         learnts_.push_back(cr);
         ++stats_.learned_clauses;
-        uncheckedEnqueue(learnt[0], cr);
+        uncheckedEnqueue(learnt[0], bt_level, cr);
       }
       var_decay_activity();
       if (learnts_.size() >= max_learnts_) {
@@ -687,7 +779,7 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
         }
       }
       trail_lim_.push_back(static_cast<int>(trail_.size()));
-      uncheckedEnqueue(next, kNoClause);
+      uncheckedEnqueue(next, decision_level(), kNoClause);
     }
   }
 }
@@ -701,11 +793,11 @@ void Solver::for_each_problem_clause(
     tmp.assign(lit_arena_.begin() + cd.offset, lit_arena_.begin() + cd.offset + cd.size);
     fn(tmp);
   }
-  // Level-0 units (facts) that never became stored clauses.
+  // Level-0 units (facts) that never became stored clauses. Out-of-order
+  // assignment can place them anywhere on the trail.
   for (std::size_t i = 0; i < trail_.size(); ++i) {
     const Var v = trail_[i].var();
-    if (var_info_[static_cast<std::size_t>(v)].level != 0) break;
-    if (var_info_[static_cast<std::size_t>(v)].reason == kNoClause) {
+    if (level(v) == 0 && var_info_[static_cast<std::size_t>(v)].reason == kNoClause) {
       tmp.assign(1, trail_[i]);
       fn(tmp);
     }

@@ -84,8 +84,11 @@ bool Subprocess::spawn(const std::vector<std::string>& argv) {
   }
 
   if (pid == 0) {
-    // Child. Route the pipes to stdin/stdout, drop every parent-side fd, and
-    // exec. Only async-signal-safe calls from here on.
+    // Child. Lead a fresh process group, so terminate() reaches whatever the
+    // child forks (a wrapper script's solver); route the pipes to
+    // stdin/stdout, drop every parent-side fd, and exec. Only
+    // async-signal-safe calls from here on.
+    ::setpgid(0, 0);
     ::dup2(in_pipe[0], STDIN_FILENO);
     ::dup2(out_pipe[1], STDOUT_FILENO);
     ::close(in_pipe[0]);
@@ -100,8 +103,11 @@ bool Subprocess::spawn(const std::vector<std::string>& argv) {
     _exit(127);  // exec failed; 127 is the shell convention for "not found"
   }
 
-  // Parent. Keep our ends non-blocking: all waiting happens in poll(2) so
-  // deadlines hold even against a child that never reads or never writes.
+  // Parent. Set the group here too, so no signal can race the child's own
+  // setpgid (this call fails harmlessly once the child has exec'd). Keep our
+  // ends non-blocking: all waiting happens in poll(2) so deadlines hold even
+  // against a child that never reads or never writes.
+  ::setpgid(pid, pid);
   ::close(in_pipe[0]);
   ::close(out_pipe[1]);
   stdin_fd_ = in_pipe[1];
@@ -187,32 +193,37 @@ bool Subprocess::try_wait(ExitStatus& status) {
   return true;
 }
 
+bool Subprocess::exited() const {
+  // WNOWAIT leaves the child a zombie: its pid, and so its process group id,
+  // stays reserved until the reap, so signalling the group stays safe.
+  siginfo_t info{};
+  return ::waitid(P_PID, static_cast<id_t>(pid_), &info, WEXITED | WNOHANG | WNOWAIT) == 0 &&
+         info.si_pid == pid_;
+}
+
 Subprocess::ExitStatus Subprocess::terminate(std::chrono::milliseconds grace) {
   trace::Span span("subprocess.terminate", "subprocess");
   ExitStatus status;
   if (!running()) return status;
   close_stdin();  // EOF first: a well-behaved child exits on its own
 
-  if (try_wait(status)) {
-    close_fds();
-    return status;
-  }
-
-  ::kill(pid_, SIGTERM);
-  const auto deadline = Clock::now() + grace;
-  while (Clock::now() < deadline) {
-    if (try_wait(status)) {
-      close_fds();
-      return status;
+  // Signals go to the child's whole process group (see spawn): descendants
+  // die with it instead of outliving it holding inherited fds.
+  if (!exited()) {
+    ::kill(-pid_, SIGTERM);
+    const auto deadline = Clock::now() + grace;
+    while (Clock::now() < deadline && !exited()) {
+      struct timespec ts = {0, 2'000'000};  // 2 ms between reap polls
+      ::nanosleep(&ts, nullptr);
     }
-    struct timespec ts = {0, 2'000'000};  // 2 ms between reap polls
-    ::nanosleep(&ts, nullptr);
   }
 
-  // Grace expired: no more chances. SIGKILL cannot be caught, so the
-  // blocking reap below terminates (the DAOS lesson: a supervisor that
-  // "shuts down nicely" forever is itself a hang).
-  ::kill(pid_, SIGKILL);
+  // Grace expired, or the child is gone but may have left descendants: no
+  // more chances. SIGKILL cannot be caught, so the blocking reap below
+  // terminates (the DAOS lesson: a supervisor that "shuts down nicely"
+  // forever is itself a hang). Should the group not exist, the child itself
+  // still gets the signal, so the reap cannot block forever.
+  if (::kill(-pid_, SIGKILL) != 0) ::kill(pid_, SIGKILL);
   int raw = 0;
   while (::waitpid(pid_, &raw, 0) < 0 && errno == EINTR) {
   }

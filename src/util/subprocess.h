@@ -5,7 +5,9 @@
 // hang, crash, stop reading input, or print garbage — so every blocking
 // operation takes a wall-clock deadline (implemented with poll(2)) and
 // shutdown always escalates SIGTERM → grace window → SIGKILL → reap. The
-// destructor performs the same escalation with a zero grace window, so a
+// child leads its own process group and the signals go to the whole group,
+// so whatever it forked (the solver behind a wrapper script) dies with it.
+// The destructor performs the same escalation with a zero grace window, so a
 // Subprocess can never leak a zombie or leave an orphan running, no matter
 // which error path dropped it.
 //
@@ -80,7 +82,9 @@ public:
   bool try_wait(ExitStatus& status);
 
   // SIGTERM, then up to `grace` for a voluntary exit, then SIGKILL, then a
-  // blocking reap. Safe on an already-exited child. Returns the exit status.
+  // blocking reap — each signal sent to the child's process group. Safe on
+  // an already-exited child (its leftover descendants still get SIGKILL).
+  // Returns the child's exit status.
   ExitStatus terminate(std::chrono::milliseconds grace);
 
   // terminate() with zero grace — the destructor's path, public for tests.
@@ -88,6 +92,7 @@ public:
 
 private:
   void close_fds();
+  bool exited() const;  // the child has exited; it stays unreaped
 
   pid_t pid_ = -1;
   int stdin_fd_ = -1;

@@ -197,9 +197,10 @@ TEST(MetricsAggregation, TotalsEqualSumOfPartsUnderPortfolio) {
   ASSERT_EQ(r.verdict, Verdict::Secure);
 
   const util::MetricsSnapshot& m = r.stats.metrics;
-  const char* leaves[] = {"conflicts",        "decisions",       "propagations",
-                          "restarts",         "learned_clauses", "deleted_clauses",
-                          "exported_clauses", "imported_clauses", "solve_calls"};
+  const char* leaves[] = {"conflicts",        "decisions",        "propagations",
+                          "restarts",         "learned_clauses",  "deleted_clauses",
+                          "exported_clauses", "imported_clauses", "solve_calls",
+                          "chrono_backtracks"};
   ASSERT_EQ(r.stats.per_worker.size(), 2u);
   ASSERT_EQ(r.stats.per_worker_members.size(), 2u);
   for (const char* leaf : leaves) {

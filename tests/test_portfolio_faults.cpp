@@ -10,7 +10,9 @@
 // fork/pipe/parse path runs without any system SAT solver installed.
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/types.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <atomic>
@@ -19,6 +21,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sat/backend.h"
@@ -205,6 +208,32 @@ TEST(Subprocess, CancelFlagAbortsBlockedReadQuickly) {
   EXPECT_FALSE(child.read_all(out, t0 + std::chrono::seconds(30), 1 << 20));
   EXPECT_LT(util::Subprocess::Clock::now() - t0, std::chrono::seconds(2));
   child.kill_and_reap();
+}
+
+TEST(Subprocess, KillReachesGrandchildren) {
+  // A wrapper script that forks its solver: killing the wrapper must take
+  // the solver down too. This process becomes a subreaper so the orphaned
+  // grandchild is reparented here and its death can be observed
+  // deterministically (whatever init does with zombies).
+  ASSERT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  util::Subprocess child;
+  ASSERT_TRUE(child.spawn({"/bin/sh", "-c", "sleep 100 >/dev/null & echo $!; exec >&-; wait"}));
+  std::string out;
+  ASSERT_TRUE(child.read_all(out, util::Subprocess::Clock::now() + std::chrono::seconds(10),
+                             1 << 20));
+  const pid_t grandchild = static_cast<pid_t>(std::stol(out));
+  ASSERT_GT(grandchild, 0);
+  child.kill_and_reap();
+  // SIGKILL is asynchronous: reap the grandchild as it dies.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (waitpid(grandchild, nullptr, WNOHANG) != grandchild &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  errno = 0;
+  EXPECT_EQ(kill(grandchild, 0), -1) << "grandchild " << grandchild << " survived";
+  EXPECT_EQ(errno, ESRCH);
+  prctl(PR_SET_CHILD_SUBREAPER, 0);
 }
 
 // --- incremental DIMACS serialization (DimacsCache) ----------------------------

@@ -222,27 +222,25 @@ TEST(Sat, ConflictBudgetThrows) {
 }
 
 // Randomized cross-check against brute force on small instances.
-class SatRandom : public ::testing::TestWithParam<int> {};
+using IntClauses = std::vector<std::vector<int>>; // +v / -v encoding, 1-based
 
-TEST_P(SatRandom, MatchesBruteForce) {
-  Xoshiro256 rng(1000 + GetParam());
-  constexpr int kVars = 10;
-  const int kClauses = 3 + static_cast<int>(rng.below(50));
-
-  std::vector<std::vector<int>> clauses; // +v / -v encoding, 1-based
-  for (int c = 0; c < kClauses; ++c) {
+IntClauses random_clauses(Xoshiro256& rng, int vars, int min_len, int max_len, int num_clauses) {
+  IntClauses clauses;
+  for (int c = 0; c < num_clauses; ++c) {
     std::vector<int> cl;
-    const int len = 1 + static_cast<int>(rng.below(3));
+    const int len =
+        min_len + static_cast<int>(rng.below(static_cast<std::uint64_t>(max_len - min_len + 1)));
     for (int i = 0; i < len; ++i) {
-      const int v = 1 + static_cast<int>(rng.below(kVars));
+      const int v = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(vars)));
       cl.push_back(rng.chance(0.5) ? v : -v);
     }
     clauses.push_back(cl);
   }
+  return clauses;
+}
 
-  // Brute force.
-  bool brute_sat = false;
-  for (unsigned m = 0; m < (1u << kVars) && !brute_sat; ++m) {
+bool brute_force_sat(const IntClauses& clauses, int vars) {
+  for (unsigned m = 0; m < (1u << vars); ++m) {
     bool all = true;
     for (const auto& cl : clauses) {
       bool any = false;
@@ -258,8 +256,19 @@ TEST_P(SatRandom, MatchesBruteForce) {
         break;
       }
     }
-    brute_sat = all;
+    if (all) return true;
   }
+  return false;
+}
+
+class SatRandom : public ::testing::TestWithParam<int> {};
+
+TEST_P(SatRandom, MatchesBruteForce) {
+  Xoshiro256 rng(1000 + GetParam());
+  constexpr int kVars = 10;
+  const IntClauses clauses =
+      random_clauses(rng, kVars, 1, 3, 3 + static_cast<int>(rng.below(50)));
+  const bool brute_sat = brute_force_sat(clauses, kVars);
 
   Solver s;
   std::vector<Var> vars;
@@ -283,6 +292,47 @@ TEST_P(SatRandom, MatchesBruteForce) {
       EXPECT_TRUE(any);
     }
   }
+}
+
+// The same cross-check with the core behind a deep assumption stack: the
+// core is guarded by assumption g, followed by more than kChronoThreshold
+// unrelated assumptions, so learnt clauses whose only other literal is ¬g
+// backtrack chronologically and the trail leaves level order. The cores are
+// random 3-SAT at clause/variable ratio 4.5 to 5.5 over 10 to 16 variables:
+// about half are satisfiable, and most learn such clauses.
+TEST_P(SatRandom, PaddedCoreMatchesBruteForce) {
+  Xoshiro256 rng(5000 + GetParam());
+  const int core_vars = 10 + static_cast<int>(rng.below(7));
+  const IntClauses clauses = random_clauses(
+      rng, core_vars, 3, 3, core_vars * 9 / 2 + static_cast<int>(rng.below(core_vars)));
+  const bool brute_sat = brute_force_sat(clauses, core_vars);
+
+  Solver s;
+  const Var g = s.new_var();
+  std::vector<Var> vars;
+  for (int i = 0; i < core_vars; ++i) vars.push_back(s.new_var());
+  std::vector<Lit> assumptions = {pos(g)};
+  for (int i = 0; i < Solver::kChronoThreshold + 50; ++i) {
+    assumptions.push_back(Lit(s.new_var(), rng.chance(0.5)));
+  }
+  for (const auto& cl : clauses) {
+    std::vector<Lit> lits = {neg(g)};
+    for (int lit : cl) lits.push_back(Lit(vars[std::abs(lit) - 1], lit < 0));
+    ASSERT_TRUE(s.add_clause(lits));
+  }
+  EXPECT_EQ(s.solve(assumptions), brute_sat);
+  if (brute_sat) {
+    EXPECT_EQ(s.validate_model(), 0u);
+    for (Lit a : assumptions) EXPECT_TRUE(s.model_value(a));
+  } else {
+    const std::vector<Lit> core = s.conflict_assumptions();
+    const std::vector<Lit> expected = {pos(g)};
+    EXPECT_EQ(core, expected);
+    EXPECT_FALSE(s.solve(core));
+  }
+  EXPECT_TRUE(s.okay());
+  ASSERT_TRUE(s.solve()); // ¬g satisfies every core clause
+  EXPECT_EQ(s.validate_model(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, SatRandom, ::testing::Range(0, 40));
@@ -313,6 +363,73 @@ void add_pigeonhole(Solver& s, int pigeons, std::optional<Lit> guard = std::null
       }
     }
   }
+}
+
+// A guarded pigeonhole behind a deep assumption stack: {g} followed by
+// `padding` unrelated assumptions. Every core clause carries ¬g, whose level
+// is 1, so each learnt clause (¬g ∨ l) asserts far below the conflict and
+// backtracks chronologically once padding exceeds kChronoThreshold.
+std::vector<Lit> add_padded_pigeonhole(Solver& s, int pigeons, int padding) {
+  const Var g = s.new_var();
+  std::vector<Lit> assumptions = {pos(g)};
+  for (int i = 0; i < padding; ++i) assumptions.push_back(pos(s.new_var()));
+  add_pigeonhole(s, pigeons, pos(g));
+  return assumptions;
+}
+
+// Checks an UNSAT answer under `assumptions` and the solver's state after
+// it: the core is a subset of the assumptions that is UNSAT on its own, and
+// dropping the assumptions leaves a satisfiable formula with a valid model.
+void expect_padded_unsat(Solver& s, const std::vector<Lit>& assumptions) {
+  ASSERT_FALSE(s.solve(assumptions));
+  EXPECT_TRUE(s.okay());
+  const std::vector<Lit> core = s.conflict_assumptions();
+  ASSERT_FALSE(core.empty());
+  for (Lit l : core) {
+    EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), l), assumptions.end())
+        << "core literal not among the assumptions";
+  }
+  EXPECT_FALSE(s.solve(core));
+  ASSERT_TRUE(s.solve());
+  EXPECT_EQ(s.validate_model(), 0u);
+}
+
+TEST(Sat, ChronologicalBacktrackingKeepsVerdictAndCore) {
+  Solver s;
+  const std::vector<Lit> assumptions =
+      add_padded_pigeonhole(s, 7, Solver::kChronoThreshold + 50);
+  expect_padded_unsat(s, assumptions);
+  EXPECT_GT(s.stats().chrono_backtracks, 0u);
+  EXPECT_LE(s.stats().chrono_backtracks, s.stats().conflicts);
+}
+
+TEST(Sat, ChronologicalBacktrackingNeedsALongJump) {
+  // Below the threshold the same instance never backtracks chronologically.
+  Solver s;
+  const std::vector<Lit> assumptions = add_padded_pigeonhole(s, 7, 20);
+  expect_padded_unsat(s, assumptions);
+  EXPECT_EQ(s.stats().chrono_backtracks, 0u);
+}
+
+TEST(Sat, ChronologicalBacktrackingFindsValidModels) {
+  // Satisfiable twin: the guard is a free variable instead of an
+  // assumption, created first so it is the first decision after the
+  // padding. Refuting the pigeonhole under it learns the unit ¬g, which
+  // lands at the root from more than kChronoThreshold levels up — a root
+  // fact in the middle of the trail.
+  Solver s;
+  const Var g = s.new_var();
+  std::vector<Lit> assumptions;
+  for (int i = 0; i < Solver::kChronoThreshold + 50; ++i) assumptions.push_back(pos(s.new_var()));
+  add_pigeonhole(s, 6, pos(g));
+  ASSERT_TRUE(s.solve(assumptions));
+  EXPECT_EQ(s.validate_model(), 0u);
+  EXPECT_FALSE(s.model_value(g));
+  for (Lit a : assumptions) EXPECT_TRUE(s.model_value(a));
+  EXPECT_GT(s.stats().chrono_backtracks, 0u);
+  // The learnt unit survives as a root fact.
+  EXPECT_FALSE(s.solve({pos(g)}));
+  EXPECT_TRUE(s.conflict_assumptions() == std::vector<Lit>{pos(g)});
 }
 
 TEST(Sat, DistinctLevelCountBitmapSplit) {
@@ -468,6 +585,17 @@ TEST(Sat, GarbageCollectionKeepsSolverUsable) {
   ASSERT_TRUE(s.solve()); // g is free: ¬g satisfies every guarded clause
   EXPECT_EQ(s.validate_model(), 0u);
   EXPECT_FALSE(s.solve({pos(g)})); // still UNSAT through remapped clauses
+
+  // The same under a deep assumption stack: reductions and compaction now
+  // remap reasons on an out-of-order trail, mid-search.
+  Solver deep;
+  const std::vector<Lit> assumptions =
+      add_padded_pigeonhole(deep, 7, Solver::kChronoThreshold + 50);
+  deep.set_max_learnts(50);
+  expect_padded_unsat(deep, assumptions);
+  EXPECT_GT(deep.stats().deleted_clauses, 0u);
+  EXPECT_GT(deep.stats().chrono_backtracks, 0u);
+  EXPECT_FALSE(deep.solve(assumptions)); // still UNSAT through remapped clauses
 }
 
 } // namespace
