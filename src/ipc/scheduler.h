@@ -20,11 +20,15 @@
 //    proves differing (same saturation harvest as before); an UNSAT answer
 //    retires the candidate with a per-candidate assumption core, surfaced in
 //    SweepResult::unsat_groups for frontier pruning. The store never grows
-//    during a sweep, one snapshot serves the whole batch, nothing a worker
-//    learned is ever invalidated, and a shared VerdictCache short-circuits
-//    repeated UNSAT queries outright. Per-candidate cores mention only the
-//    eq assumptions that one refutation needs, so they survive frontier
-//    shrinking far better than a whole-chunk disjunction core would.
+//    during a sweep and one snapshot serves the whole batch. Nothing a
+//    worker learned is ever invalidated: when the store grows between
+//    sweeps (Alg. 2 unrolling) and preprocessing hands the workers a new
+//    simplified generation, each worker keeps its learnt clauses, activity
+//    and phases across the switch (sat/backend.h, InprocBackend::sync). A
+//    shared VerdictCache short-circuits repeated UNSAT queries outright.
+//    Per-candidate cores mention only the eq assumptions that one
+//    refutation needs, so they survive frontier shrinking far better than a
+//    whole-chunk disjunction core would.
 //
 //  * Legacy (SchedulerOptions::incremental = false): each round encodes a
 //    fresh activation literal guarding the chunk's diff disjunction, solves,
@@ -89,7 +93,8 @@ struct SweepResult {
 
   // Verdict-cache traffic during this sweep (zero with the cache off) and
   // the workers' combined live learnt-clause databases at sweep end — the
-  // clauses the incremental path retains across rounds and iterations.
+  // clauses the incremental path retains across rounds, iterations and
+  // Alg. 2 steps (new preprocessing generations included).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::size_t retained_learnts = 0;

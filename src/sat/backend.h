@@ -63,8 +63,11 @@ inline BackendHealth& operator+=(BackendHealth& a, const BackendHealth& b) {
 
 class SolverBackend : public ModelSource {
 public:
-  // Brings the backend's clause database up to `snap`. Snapshots must come
-  // from one store and be passed in non-decreasing order.
+  // Brings the backend's clause database up to `snap`. Every snapshot must
+  // be a prefix, or a simplified generation of a prefix (sat/simplify.h), of
+  // one original formula, and snapshots must come in non-decreasing order of
+  // that prefix. A backend may therefore keep whatever it derived from an
+  // earlier snapshot: it is implied by every later one.
   virtual void sync(const CnfSnapshot& snap) = 0;
 
   // Solves under assumptions against the last synced snapshot. Unknown means
@@ -142,25 +145,24 @@ public:
 
   // Replays the snapshot delta into the solver. When the snapshot's backing
   // store changes identity (preprocessing emits each simplified generation
-  // into a fresh CnfStore), the solver is rebuilt from scratch — clause
-  // database dropped, configuration and cumulative stats kept, channel
-  // replay restarted — and the whole new store is hydrated. Learnt clauses
-  // cross store generations soundly in both directions: every simplified
-  // clause is a consequence of the original formula, so anything learnt from
-  // one generation is implied by every other.
+  // into a fresh CnfStore), the solver drops only its problem clauses and
+  // the whole new generation is added on top of what it kept: learnt and
+  // imported clauses, root facts, activity and phases. The channel cursor
+  // stays, so no clause is imported twice. This is sound under the sync
+  // contract: everything kept is implied by the original prefix it came
+  // from, hence by the new one, so UNSAT answers still hold for the original
+  // formula; and a model of "generation + kept clauses" is a model of the
+  // generation, which reconstructs to the original on frozen variables even
+  // where a kept clause mentions a variable the generation eliminated.
   void sync(const CnfSnapshot& snap) override {
     util::trace::Span span("sync.inproc", "sat");
     span.arg("store", snap.store_id());
     if (snap.store_id() != store_id_) {
-      if (store_id_ != 0) {
-        solver_.reset();
-        channel_cursor_ = 0;
-        ok_ = true;
-      }
+      solver_.drop_problem_clauses();
       store_id_ = snap.store_id();
-      cursor_ = CnfSnapshot::Cursor{};
+      cursor_ = CnfSnapshot::Cursor{solver_.num_vars(), 0};
     }
-    ok_ = snap.load_into(solver_, cursor_) && ok_;
+    snap.load_into(solver_, cursor_);
   }
 
   // Consult `cache` (shared with other backends and the main check path;
@@ -198,7 +200,7 @@ private:
   SolveStatus solve_impl(const std::vector<Lit>& assumptions) {
     core_.clear();
     last_timed_out_ = false;
-    if (!ok_) return SolveStatus::Unsat; // formula UNSAT outright: empty core
+    if (!solver_.okay()) return SolveStatus::Unsat; // formula UNSAT outright: empty core
     if (cache_ != nullptr) {
       if (cache_->lookup_unsat(store_id_, cursor_, assumptions, &core_)) {
         ++cache_hits_;
@@ -228,7 +230,6 @@ private:
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
   bool last_timed_out_ = false;
-  bool ok_ = true;
 };
 
 } // namespace upec::sat

@@ -5,6 +5,7 @@
 namespace upec::sat {
 
 void append_metrics(util::MetricsSnapshot& out, const SolverStats& stats) {
+  out.add_counter("carried_learnts", stats.carried_learnts);
   out.add_counter("chrono_backtracks", stats.chrono_backtracks);
   out.add_counter("conflicts", stats.conflicts);
   out.add_counter("decisions", stats.decisions);
@@ -20,6 +21,7 @@ void append_metrics(util::MetricsSnapshot& out, const SolverStats& stats) {
 SolverStats solver_stats_from_metrics(const util::MetricsSnapshot& snap,
                                       const std::string& prefix) {
   SolverStats s;
+  s.carried_learnts = snap.get(prefix + "carried_learnts");
   s.chrono_backtracks = snap.get(prefix + "chrono_backtracks");
   s.conflicts = snap.get(prefix + "conflicts");
   s.decisions = snap.get(prefix + "decisions");

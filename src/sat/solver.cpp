@@ -8,36 +8,19 @@ namespace upec::sat {
 
 Solver::Solver() = default;
 
-void Solver::reset() {
-  ok_ = true;
-  lit_arena_.clear();
-  clauses_.clear();
-  learnts_.clear();
-  watches_.clear();
-  assigns_.clear();
-  model_.clear();
-  phase_.clear();
-  var_info_.clear();
-  activity_.clear();
-  seen_.clear();
-  analyze_stack_.clear();
-  analyze_toclear_.clear();
-  kept_.clear();
-  trail_.clear();
-  trail_lim_.clear();
-  qhead_ = 0;
-  heap_.clear();
-  heap_pos_.clear();
-  assumptions_.clear();
-  conflict_.clear();
-  var_inc_ = 1.0;
-  cla_inc_ = 1.0f;
-  import_buf_.clear();
-  lbd_levels_.clear();
-  garbage_lits_ = 0;
-  // Restart the initial-phase stream (set_phase_seed's derivation) so the
-  // rebuilt variable range is phased exactly like a fresh seeded solver.
-  phase_rng_state_ = phase_seed_ == 0 ? 0 : phase_seed_ * 0x9e3779b97f4a7c15ULL + 1;
+void Solver::drop_problem_clauses() {
+  cancel_until(0);
+  for (ClauseData& cd : clauses_) {
+    if (cd.learned || cd.deleted) continue;
+    cd.deleted = true;
+    garbage_lits_ += cd.size;
+  }
+  // Learnt clauses keep their watched literals in lits[0] and lits[1], so
+  // watching those again restores exactly their old watchers.
+  for (auto& ws : watches_) ws.clear();
+  for (const ClauseRef cr : learnts_) attach_clause(cr);
+  garbage_collect();  // reasons that were problem clauses become kNoClause
+  stats_.carried_learnts += learnts_.size();
 }
 
 Var Solver::new_var() {

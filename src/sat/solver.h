@@ -41,6 +41,8 @@ struct SolverStats {
   // Solver::kChronoThreshold levels and that backtracked only to the level
   // below the conflict instead.
   std::uint64_t chrono_backtracks = 0;
+  // Live learnt clauses kept by drop_problem_clauses, summed over calls.
+  std::uint64_t carried_learnts = 0;
   // Learned-clause sharing (zero unless hooks are installed, see below).
   std::uint64_t exported_clauses = 0;
   std::uint64_t imported_clauses = 0;
@@ -55,6 +57,7 @@ inline SolverStats& operator+=(SolverStats& a, const SolverStats& b) {
   a.deleted_clauses += b.deleted_clauses;
   a.solve_calls += b.solve_calls;
   a.chrono_backtracks += b.chrono_backtracks;
+  a.carried_learnts += b.carried_learnts;
   a.exported_clauses += b.exported_clauses;
   a.imported_clauses += b.imported_clauses;
   return a;
@@ -71,6 +74,7 @@ inline SolverStats operator-(SolverStats a, const SolverStats& b) {
   a.deleted_clauses -= b.deleted_clauses;
   a.solve_calls -= b.solve_calls;
   a.chrono_backtracks -= b.chrono_backtracks;
+  a.carried_learnts -= b.carried_learnts;
   a.exported_clauses -= b.exported_clauses;
   a.imported_clauses -= b.imported_clauses;
   return a;
@@ -110,17 +114,15 @@ public:
   bool add_clause(const std::vector<Lit>& lits) override;
   using ClauseSink::add_clause;
 
-  // Drops the entire clause database (problem + learnt) and all per-variable
-  // search state, returning the solver to the freshly-constructed state —
-  // except that configuration survives: conflict budget, deadline, cancel
-  // flag, restart unit, phase seed (the initial-phase RNG stream restarts so
-  // variables re-created after the reset get the same polarities a fresh
-  // solver with that seed would give them), sharing hooks, and the learnt-DB
-  // threshold. Cumulative stats_ also survive — a reset is a rebuild step in
-  // one solver's life, not a new solver. Used when a backend's snapshot
-  // switches stores (preprocessing emits each simplified generation into a
-  // fresh CnfStore) and the worker must re-hydrate from scratch.
-  void reset();
+  // Deletes every problem (non-learnt) clause and keeps everything else:
+  // learnt and imported clauses, root-level facts, variables with their
+  // activity and saved phases, stats and configuration. Root facts whose
+  // reason was a problem clause become reasonless facts. Used when a backend
+  // switches to a new simplified generation of its formula (see
+  // SolverBackend::sync): the caller then adds the whole generation on top,
+  // and the kept state stays sound because every kept clause and fact is
+  // implied by the formula the new generation simplifies.
+  void drop_problem_clauses();
 
   // --- Solving ---------------------------------------------------------------
   // Solve under the given assumptions. Clauses persist across calls.
@@ -194,7 +196,7 @@ public:
   // Progress heartbeat: invoke `hook` whenever the cumulative conflict count
   // is a multiple of `every_conflicts` (0 or an empty hook disarms it). The
   // hook runs on the solving thread, inside the conflict loop — keep it
-  // cheap and never let it touch the solver. Survives reset().
+  // cheap and never let it touch the solver.
   void set_progress_hook(ProgressHook hook, std::uint64_t every_conflicts) {
     progress_hook_ = std::move(hook);
     progress_every_ = progress_hook_ ? every_conflicts : 0;

@@ -258,8 +258,9 @@ TEST(Determinism, VulnerablePreprocessToggleIdentical) {
 
 TEST(Determinism, VulnerableAlg2PreprocessToggleIdentical) {
   // Alg. 2 grows the store every frame, so each frame forces a fresh
-  // simplified generation and a worker rebuild — the store-identity reset
-  // path. Results must still match the unpreprocessed run exactly.
+  // simplified generation, and every worker switches to it while keeping
+  // its learnt clauses. Results must still match the unpreprocessed run
+  // exactly.
   const soc::Soc soc = small_soc();
   const Alg2Result off = verify_unrolled(soc, with_preprocess(hwpe_scenario_options(soc), 4, false));
   const Alg2Result on = verify_unrolled(soc, with_preprocess(hwpe_scenario_options(soc), 4, true));

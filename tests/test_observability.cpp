@@ -200,7 +200,7 @@ TEST(MetricsAggregation, TotalsEqualSumOfPartsUnderPortfolio) {
   const char* leaves[] = {"conflicts",        "decisions",        "propagations",
                           "restarts",         "learned_clauses",  "deleted_clauses",
                           "exported_clauses", "imported_clauses", "solve_calls",
-                          "chrono_backtracks"};
+                          "chrono_backtracks", "carried_learnts"};
   ASSERT_EQ(r.stats.per_worker.size(), 2u);
   ASSERT_EQ(r.stats.per_worker_members.size(), 2u);
   for (const char* leaf : leaves) {

@@ -8,12 +8,17 @@
 //    the original one;
 //  * each technique actually fires on its textbook case;
 //  * simplification is idempotent (a fixed point re-simplifies to itself) and
-//    the generation cache reuses identical requests.
+//    the generation cache reuses identical requests;
+//  * a backend switching generations keeps what it learned, soundly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "sat/backend.h"
+#include "sat/share.h"
 #include "sat/simplify.h"
 #include "sat/snapshot.h"
 #include "sat/solver.h"
@@ -170,8 +175,11 @@ TEST(Simplify, RefutedFormulaYieldsEmptyClause) {
 }
 
 // Deterministic random CNF around the 3-SAT phase transition: hard enough
-// that all three techniques fire, small enough to solve exhaustively.
-std::vector<Clause> random_cnf(std::mt19937& rng, int nvars, std::size_t nclauses) {
+// that all three techniques fire, small enough to solve exhaustively. Without
+// binaries the formulas stay satisfiable at higher density, so a solver
+// learns clauses before the formula is refuted.
+std::vector<Clause> random_cnf(std::mt19937& rng, int nvars, std::size_t nclauses,
+                               bool binaries = true) {
   std::uniform_int_distribution<int> var(0, nvars - 1);
   std::uniform_int_distribution<int> coin(0, 1);
   std::uniform_int_distribution<int> width(1, 3);
@@ -179,7 +187,7 @@ std::vector<Clause> random_cnf(std::mt19937& rng, int nvars, std::size_t nclause
   out.reserve(nclauses);
   for (std::size_t i = 0; i < nclauses; ++i) {
     Clause c;
-    const int w = width(rng) == 1 ? 2 : 3;  // mostly ternary, some binary
+    const int w = binaries && width(rng) == 1 ? 2 : 3;  // mostly ternary, some binary
     for (int j = 0; j < w; ++j) c.push_back(Lit(var(rng), coin(rng) == 1));
     out.push_back(std::move(c));
   }
@@ -221,6 +229,192 @@ TEST(Simplify, RandomCorpusVerdictEquivalenceAndReconstruction) {
       }
     }
   }
+}
+
+// --- Warm generation switches ------------------------------------------------
+//
+// An InprocBackend keeps its learnt clauses, root facts, activity and phases
+// when sync() moves it to a new simplified generation (sat/backend.h). These
+// tests hold one backend across generations of a growing store and check its
+// answers against fresh solvers on the raw store.
+
+std::vector<bool> backend_model(const SolverBackend& backend, int nvars) {
+  std::vector<bool> model(static_cast<std::size_t>(nvars));
+  for (int v = 0; v < nvars; ++v) model[static_cast<std::size_t>(v)] = backend.model_value(pos(v));
+  return model;
+}
+
+// Variables of `input` that no clause of `generation` mentions: the
+// generation eliminated them (root facts stay as unit clauses).
+std::vector<char> eliminated_vars(const CnfSnapshot& input, const CnfSnapshot& generation) {
+  std::vector<char> in(static_cast<std::size_t>(input.num_vars()), 0);
+  std::vector<char> out(in.size(), 0);
+  input.for_each_clause([&](const std::vector<Lit>& c) {
+    for (Lit l : c) in[static_cast<std::size_t>(l.var())] = 1;
+  });
+  generation.for_each_clause([&](const std::vector<Lit>& c) {
+    for (Lit l : c) out[static_cast<std::size_t>(l.var())] = 1;
+  });
+  for (std::size_t v = 0; v < in.size(); ++v) in[v] = in[v] && !out[v];
+  return in;
+}
+
+void grow(CnfStore& store, std::mt19937& rng, int new_vars, std::size_t new_clauses,
+          std::vector<Clause>& raw) {
+  for (int v = 0; v < new_vars; ++v) store.new_var();
+  for (Clause& c : random_cnf(rng, store.num_vars(), new_clauses, /*binaries=*/false)) {
+    store.add_clause(c);
+    raw.push_back(std::move(c));
+  }
+}
+
+TEST(WarmSwitch, LearntClausesSurviveGenerationSwitch) {
+  std::mt19937 rng(0xA11CE);
+  std::vector<Clause> raw;
+  CnfStore store;
+  grow(store, rng, 100, 420, raw);
+  std::vector<Var> frozen;
+  for (Var v = 0; v < 12; ++v) frozen.push_back(v);
+
+  Simplifier simp;
+  InprocBackend backend;
+  backend.sync(simp.simplify(store.snapshot(), frozen));
+  std::uniform_int_distribution<int> coin(0, 1);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<Lit> assumptions;
+    for (Var v : frozen) {
+      if (coin(rng) == 1) assumptions.push_back(Lit(v, coin(rng) == 1));
+    }
+    backend.solve(assumptions);
+  }
+  const std::size_t learnts = backend.live_learnts();
+  ASSERT_GT(learnts, 0u);
+
+  grow(store, rng, 4, 12, raw);
+  const CnfSnapshot next = simp.simplify(store.snapshot(), frozen);
+  backend.sync(next);
+  EXPECT_EQ(backend.live_learnts(), learnts);
+  EXPECT_EQ(backend.stats().carried_learnts, learnts);
+
+  // The warm solver still answers like a fresh one on the raw store.
+  const auto base = solve(store.snapshot());
+  ASSERT_EQ(backend.solve({}) == SolveStatus::Sat, base.has_value());
+  if (base) {
+    std::vector<bool> model = backend_model(backend, store.num_vars());
+    simp.reconstruct(model);
+    EXPECT_TRUE(satisfies(model, raw));
+  }
+}
+
+TEST(WarmSwitch, RandomCorpusAcrossThreeGenerations) {
+  // Each formula grows over three generations, and the frozen set moves:
+  // variables 6-13 are frozen (assumed) in generation 1 and free in 2, so
+  // generation 2 may eliminate variables that learnt clauses from generation
+  // 1 mention; 6-9 come back frozen in generation 3, next to the variables
+  // generation 3 added. After every switch, the warm backend's verdicts
+  // under frozen-variable assumptions must match a fresh solver on the raw
+  // store, its reconstructed models must satisfy the raw store, and its
+  // UNSAT cores must refute the raw store.
+  const std::vector<std::vector<Var>> frozen = {
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13},
+      {0, 1, 2, 3, 4, 5, 14, 15, 16, 17, 18, 19, 20, 21},
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 42, 43}};
+  const int new_vars[] = {40, 2, 2};
+  const std::size_t new_clauses[] = {150, 12, 12};
+  std::mt19937 rng(0xC0FFEE);
+  std::uniform_int_distribution<int> coin(0, 1);
+  std::size_t carried_eliminated = 0;  // learnts mentioning a newly eliminated var
+  for (int round = 0; round < 25; ++round) {
+    std::vector<Clause> raw;
+    CnfStore store;
+    Simplifier simp;
+    InprocBackend backend;
+    std::vector<Clause> learnts;  // every non-unit learnt clause of the backend
+    backend.solver().set_export_hook(
+        [&learnts](const std::vector<Lit>& lits, unsigned) {
+          if (lits.size() > 1) learnts.push_back(lits);
+        },
+        ~0u, ~std::uint32_t{0});
+    for (int gen = 0; gen < 3; ++gen) {
+      SCOPED_TRACE("round " + std::to_string(round) + " generation " + std::to_string(gen + 1));
+      grow(store, rng, new_vars[gen], new_clauses[gen], raw);
+      const CnfSnapshot original = store.snapshot();
+      const CnfSnapshot view = simp.simplify(original, frozen[gen]);
+      ASSERT_EQ(simp.stats().frozen_eliminations, 0u);
+      const std::vector<char> gone = eliminated_vars(original, view);
+      for (const Clause& c : learnts) {
+        carried_eliminated += std::any_of(c.begin(), c.end(), [&](Lit l) {
+          return gone[static_cast<std::size_t>(l.var())] != 0;
+        });
+      }
+      const std::uint64_t carried_before = backend.stats().carried_learnts;
+      backend.sync(view);
+      if (gen > 0) {
+        EXPECT_EQ(backend.stats().carried_learnts - carried_before, learnts.size());
+      }
+
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<Lit> assumptions;
+        for (Var v : frozen[gen]) {
+          if (trial > 0 && coin(rng) == 1) assumptions.push_back(Lit(v, coin(rng) == 1));
+        }
+        const auto base = solve(original, assumptions);
+        const SolveStatus status = backend.solve(assumptions);
+        ASSERT_EQ(status == SolveStatus::Sat, base.has_value()) << "trial " << trial;
+        if (status == SolveStatus::Sat) {
+          std::vector<bool> model = backend_model(backend, original.num_vars());
+          simp.reconstruct(model);
+          EXPECT_TRUE(satisfies(model, raw)) << "trial " << trial;
+          for (Lit a : assumptions) EXPECT_TRUE(lit_true(model, a)) << "trial " << trial;
+        } else {
+          const std::vector<Lit>& core = backend.unsat_core();
+          for (Lit l : core) {
+            EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), l), assumptions.end());
+          }
+          EXPECT_FALSE(solve(original, core).has_value()) << "trial " << trial;
+        }
+      }
+    }
+  }
+  EXPECT_GT(carried_eliminated, 0u);
+}
+
+TEST(WarmSwitch, ChannelImportsAreNotRepeated) {
+  // Two backends share a channel. After a generation switch, the importer
+  // keeps its channel cursor: nothing it already imported comes in again.
+  std::mt19937 rng(0xBEEF);
+  std::vector<Clause> raw;
+  CnfStore store;
+  grow(store, rng, 100, 420, raw);
+  std::vector<Var> frozen;
+  for (Var v = 0; v < 12; ++v) frozen.push_back(v);
+  ClauseChannel channel;
+  InprocBackend exporter(0, &channel, 0);
+  InprocBackend importer(0, &channel, 1);
+  Simplifier simp;
+
+  const CnfSnapshot first = simp.simplify(store.snapshot(), frozen);
+  exporter.sync(first);
+  importer.sync(first);
+  std::uniform_int_distribution<int> coin(0, 1);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<Lit> assumptions;
+    for (Var v : frozen) {
+      if (coin(rng) == 1) assumptions.push_back(Lit(v, coin(rng) == 1));
+    }
+    exporter.solve(assumptions);
+  }
+  importer.solve({});
+  ASSERT_GT(exporter.stats().exported_clauses, 0u);
+  ASSERT_GT(importer.stats().imported_clauses, 0u);
+
+  grow(store, rng, 2, 8, raw);
+  const CnfSnapshot second = simp.simplify(store.snapshot(), frozen);
+  exporter.sync(second);
+  importer.sync(second);
+  const std::uint64_t imported = importer.stats().imported_clauses;
+  importer.solve({});
+  EXPECT_EQ(importer.stats().imported_clauses, imported);
 }
 
 TEST(Simplify, FixedPointIsIdempotent) {

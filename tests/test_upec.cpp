@@ -104,6 +104,27 @@ TEST(UpecSsc, CountermeasureSecureUnderUnrolling) {
   EXPECT_EQ(result.induction->verdict, Verdict::Secure);
 }
 
+TEST(UpecSsc, CountermeasureSecureUnderUnrollingWithWorkers) {
+  // The same proof on two scheduler workers. Every unrolling step grows the
+  // store, so the workers move to a new simplified generation each time and
+  // carry their learnt clauses across the switch.
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 2;
+  cfg.priv_ram_words = 2;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  VerifyOptions options = countermeasure_options();
+  options.threads = 2;
+  UpecContext ctx(soc, options);
+  const Alg2Result result = run_alg2(ctx);
+  ASSERT_EQ(result.verdict, Verdict::Secure) << render_report(ctx, result);
+  EXPECT_EQ(result.final_k, 3u);
+  ASSERT_TRUE(result.induction.has_value());
+  EXPECT_EQ(result.induction->verdict, Verdict::Secure);
+  EXPECT_GE(result.stats.simplify.runs, 3u);
+  EXPECT_EQ(result.stats.simplify.frozen_eliminations, 0u);
+  EXPECT_GT(result.stats.total.carried_learnts, 0u);
+}
+
 TEST(UpecSsc, HardwareGuardAlsoSecure) {
   // Ablation: the hardware clamp (DMA physically cut off the private xbar)
   // must be as secure as the firmware-constraint variant.
