@@ -96,6 +96,13 @@ std::vector<std::size_t> CheckScheduler::worker_live_learnts() const {
   return out;
 }
 
+std::vector<std::size_t> CheckScheduler::worker_arena_bytes() const {
+  std::vector<std::size_t> out;
+  out.reserve(backends_.size());
+  for (const auto& b : backends_) out.push_back(b->arena_bytes());
+  return out;
+}
+
 std::vector<sat::BackendHealth> CheckScheduler::worker_health() const {
   std::vector<sat::BackendHealth> out;
   out.reserve(backends_.size());

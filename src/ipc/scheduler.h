@@ -195,6 +195,7 @@ public:
   std::vector<std::vector<sat::SolverStats>> worker_member_stats() const;
   std::vector<std::uint64_t> worker_cache_hits() const;
   std::vector<std::size_t> worker_live_learnts() const;
+  std::vector<std::size_t> worker_arena_bytes() const;
   // Per-worker robustness counters (all-zero entries for plain in-proc
   // workers; populated under portfolio/external backends).
   std::vector<sat::BackendHealth> worker_health() const;

@@ -88,6 +88,9 @@ public:
   virtual std::uint64_t cache_hits() const { return 0; }
   virtual std::uint64_t cache_misses() const { return 0; }
   virtual std::size_t live_learnts() const { return 0; }
+  // Bytes reserved for clause storage by the in-proc solvers this backend
+  // owns (see Solver::arena_bytes). Zero for backends without one.
+  virtual std::size_t arena_bytes() const { return 0; }
 
   // Wall-clock deadline: solves started after set_deadline answer Unknown
   // (with last_timed_out() == true) once the clock passes `t`. Persists until
@@ -185,6 +188,7 @@ public:
   std::uint64_t cache_hits() const override { return cache_hits_; }
   std::uint64_t cache_misses() const override { return cache_misses_; }
   std::size_t live_learnts() const override { return solver_.num_learnts(); }
+  std::size_t arena_bytes() const override { return solver_.arena_bytes(); }
 
   void set_deadline(std::chrono::steady_clock::time_point t) override { solver_.set_deadline(t); }
   void clear_deadline() override { solver_.clear_deadline(); }

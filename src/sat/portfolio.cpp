@@ -151,6 +151,12 @@ std::size_t PortfolioBackend::live_learnts() const {
   return n;
 }
 
+std::size_t PortfolioBackend::arena_bytes() const {
+  std::size_t n = 0;
+  for (const SolverBackend* b : all_) n += b->arena_bytes();
+  return n;
+}
+
 BackendHealth PortfolioBackend::health() const {
   BackendHealth h = health_;
   if (external_) h += external_->health();

@@ -61,6 +61,7 @@ public:
   std::uint64_t cache_hits() const override;
   std::uint64_t cache_misses() const override;
   std::size_t live_learnts() const override;
+  std::size_t arena_bytes() const override;
 
   void set_deadline(std::chrono::steady_clock::time_point t) override;
   void clear_deadline() override;

@@ -44,6 +44,13 @@ struct Work {
   std::vector<std::pair<Var, std::vector<Clause>>> elim;  // reconstruction stack
   std::vector<Lit> probe_trail;
 
+  // Reusable scratch. occ_buf holds a copy of an occurrence list that the
+  // loop walking it mutates (propagate, backward/self subsumption; a
+  // committed elimination's pos then neg lists); resolvent is the output of
+  // resolve().
+  std::vector<std::uint32_t> occ_buf;
+  Clause resolvent;
+
   bool unsat = false;
   bool changed = false;
   std::uint64_t sub_budget;
@@ -141,10 +148,10 @@ struct Work {
     std::size_t qi = 0;
     while (qi < unit_queue.size() && !unsat) {
       const Lit l = unit_queue[qi++];
-      const std::vector<std::uint32_t> satisfied = occ[static_cast<std::size_t>(l.index())];
-      for (std::uint32_t cid : satisfied) detach(cid);
-      const std::vector<std::uint32_t> shrink = occ[static_cast<std::size_t>((~l).index())];
-      for (std::uint32_t cid : shrink) {
+      occ_buf = occ[static_cast<std::size_t>(l.index())];
+      for (std::uint32_t cid : occ_buf) detach(cid);
+      occ_buf = occ[static_cast<std::size_t>((~l).index())];
+      for (std::uint32_t cid : occ_buf) {
         Cls& d = clauses[cid];
         if (d.deleted) continue;
         auto it = std::find(d.lits.begin(), d.lits.end(), ~l);
@@ -226,8 +233,10 @@ struct Work {
   }
 
   // Backward subsumption: delete every clause that contains `cid` entirely.
+  // Only other clauses are detached and `clauses` does not grow, so `c`
+  // stays valid; the candidate list is copied because detach edits it.
   void backward_subsume(std::uint32_t cid) {
-    const Clause c = clauses[cid].lits;  // copy: occ lists mutate below
+    const Clause& c = clauses[cid].lits;
     const std::uint64_t sig = clauses[cid].sig;
     std::size_t best = 0;
     for (std::size_t i = 1; i < c.size(); ++i) {
@@ -236,8 +245,8 @@ struct Work {
         best = i;
       }
     }
-    const std::vector<std::uint32_t> cands = occ[static_cast<std::size_t>(c[best].index())];
-    for (std::uint32_t did : cands) {
+    occ_buf = occ[static_cast<std::size_t>(c[best].index())];
+    for (std::uint32_t did : occ_buf) {
       if (did == cid) continue;
       const Cls& d = clauses[did];
       if (d.deleted || d.lits.size() < c.size()) continue;
@@ -253,17 +262,19 @@ struct Work {
 
   // Self-subsuming resolution: for each literal l of `cid`, strengthen every
   // clause D ⊇ (C \ {l}) ∪ {~l} by removing ~l (the resolvent of C and D on
-  // l subsumes D).
+  // l subsumes D). Only clauses containing ~l are strengthened, never `cid`
+  // itself, so `c` stays valid; each candidate list is copied because
+  // strengthening edits it.
   void self_subsume(std::uint32_t cid) {
-    const Clause c = clauses[cid].lits;  // copy: strengthening mutates occ
+    const Clause& c = clauses[cid].lits;
     for (std::size_t i = 0; i < c.size() && !unsat; ++i) {
       const Lit l = c[i];
       std::uint64_t sig = 1ull << (static_cast<std::uint32_t>((~l).index()) & 63u);
       for (std::size_t j = 0; j < c.size(); ++j) {
         if (j != i) sig |= 1ull << (static_cast<std::uint32_t>(c[j].index()) & 63u);
       }
-      const std::vector<std::uint32_t> cands = occ[static_cast<std::size_t>((~l).index())];
-      for (std::uint32_t did : cands) {
+      occ_buf = occ[static_cast<std::size_t>((~l).index())];
+      for (std::uint32_t did : occ_buf) {
         const Cls& d = clauses[did];
         if (d.deleted || d.lits.size() < c.size()) continue;
         if ((sig & ~d.sig) != 0) continue;
@@ -319,39 +330,46 @@ struct Work {
 
   void try_eliminate(Var v) {
     const Lit pv(v, false), nv(v, true);
-    const std::vector<std::uint32_t> pos = occ[static_cast<std::size_t>(pv.index())];
-    const std::vector<std::uint32_t> neg = occ[static_cast<std::size_t>(nv.index())];
+    const std::vector<std::uint32_t>& pos = occ[static_cast<std::size_t>(pv.index())];
+    const std::vector<std::uint32_t>& neg = occ[static_cast<std::size_t>(nv.index())];
     if (pos.size() > opt.bve_occurrence_cap || neg.size() > opt.bve_occurrence_cap) return;
 
+    // Count the non-tautological resolvents first; most candidates fail
+    // here, before anything is copied.
     const std::size_t limit =
         pos.size() + neg.size() + static_cast<std::size_t>(std::max(0, opt.bve_growth));
-    std::vector<Clause> resolvents;
-    Clause r;
+    std::size_t resolvents = 0;
     for (std::uint32_t p : pos) {
       for (std::uint32_t n : neg) {
-        if (!resolve(clauses[p].lits, clauses[n].lits, v, r)) continue;
-        resolvents.push_back(r);
-        if (resolvents.size() > limit) return;  // would grow the formula: skip
+        if (!resolve(clauses[p].lits, clauses[n].lits, v, resolvent)) continue;
+        if (++resolvents > limit) return;  // would grow the formula: skip
       }
     }
 
     // Commit: save the removed clauses for model reconstruction, replace
-    // them with the resolvents.
+    // them with the resolvents. Detaching edits the occurrence lists, so
+    // they are copied first; the resolvents are rebuilt from the saved
+    // copies, in the same order as they were counted.
+    const std::size_t num_pos = pos.size();
+    occ_buf.assign(pos.begin(), pos.end());
+    occ_buf.insert(occ_buf.end(), neg.begin(), neg.end());
     std::vector<Clause> saved;
-    saved.reserve(pos.size() + neg.size());
-    for (std::uint32_t cid : pos) saved.push_back(clauses[cid].lits);
-    for (std::uint32_t cid : neg) saved.push_back(clauses[cid].lits);
+    saved.reserve(occ_buf.size());
+    for (std::uint32_t cid : occ_buf) saved.push_back(clauses[cid].lits);
     elim.emplace_back(v, std::move(saved));
-    for (std::uint32_t cid : pos) detach(cid);
-    for (std::uint32_t cid : neg) detach(cid);
+    for (std::uint32_t cid : occ_buf) detach(cid);
     eliminated[static_cast<std::size_t>(v)] = 1;
     ++stats.eliminated_vars;
     if (frozen[static_cast<std::size_t>(v)]) ++stats.frozen_eliminations;  // tripwire: never
     changed = true;
-    for (Clause& res : resolvents) {
-      ++stats.resolvents_added;
-      add_clause(std::move(res));
-      if (unsat) return;
+    const std::vector<Clause>& removed = elim.back().second;
+    for (std::size_t p = 0; p < num_pos; ++p) {
+      for (std::size_t n = num_pos; n < removed.size(); ++n) {
+        if (!resolve(removed[p], removed[n], v, resolvent)) continue;
+        ++stats.resolvents_added;
+        add_clause(resolvent);
+        if (unsat) return;
+      }
     }
     propagate();
   }

@@ -10,10 +10,8 @@ Solver::Solver() = default;
 
 void Solver::drop_problem_clauses() {
   cancel_until(0);
-  for (ClauseData& cd : clauses_) {
-    if (cd.learned || cd.deleted) continue;
-    cd.deleted = true;
-    garbage_lits_ += cd.size;
+  for (ClauseRef c = 0; c < lit_arena_.size(); c += record_words(c)) {
+    if (!is_learnt(c) && !is_deleted(c)) delete_clause(c);
   }
   // Learnt clauses keep their watched literals in lits[0] and lits[1], so
   // watching those again restores exactly their old watchers.
@@ -46,19 +44,36 @@ Var Solver::new_var() {
   return v;
 }
 
-Solver::ClauseRef Solver::alloc_clause(const std::vector<Lit>& lits, bool learned) {
-  ClauseData cd;
-  cd.offset = static_cast<std::uint32_t>(lit_arena_.size());
-  cd.size = static_cast<std::uint32_t>(lits.size());
-  cd.learned = learned;
-  lit_arena_.insert(lit_arena_.end(), lits.begin(), lits.end());
-  clauses_.push_back(cd);
-  return static_cast<ClauseRef>(clauses_.size() - 1);
+Solver::ClauseRef Solver::alloc_clause(const std::vector<Lit>& lits, bool learnt,
+                                       std::uint32_t lbd) {
+  assert(lits.size() >= 2 && lits.size() < (std::size_t{1} << 30));
+  const auto c = static_cast<ClauseRef>(lit_arena_.size());
+  assert(c < kNoClause - lits.size() - 3);
+  const auto size = static_cast<std::uint32_t>(lits.size());
+  lit_arena_.resize(c + 1 + size + (learnt ? 2 : 0));
+  set_word(c, size << 2 | (learnt ? 1u : 0u));
+  std::copy(lits.begin(), lits.end(), clause_lits(c));
+  if (learnt) {
+    set_word(c + 1 + size, lbd);
+    set_clause_activity(c, 0.0f);
+  }
+  return c;
+}
+
+void Solver::delete_clause(ClauseRef c) {
+  set_word(c, word(c) | 2u);
+  garbage_lits_ += record_words(c);
+}
+
+std::size_t Solver::allocated_clauses() const {
+  std::size_t n = 0;
+  for (ClauseRef c = 0; c < lit_arena_.size(); c += record_words(c)) ++n;
+  return n;
 }
 
 void Solver::attach_clause(ClauseRef c) {
   const Lit* lits = clause_lits(c);
-  assert(clauses_[c].size >= 2);
+  assert(clause_size(c) >= 2);
   watches_[(~lits[0]).index()].push_back(Watcher{c, lits[1]});
   watches_[(~lits[1]).index()].push_back(Watcher{c, lits[0]});
 }
@@ -107,7 +122,7 @@ bool Solver::add_clause(const std::vector<Lit>& lits_in) {
     ok_ = (propagate() == kNoClause);
     return ok_;
   }
-  ClauseRef c = alloc_clause(out, /*learned=*/false);
+  ClauseRef c = alloc_clause(out, /*learnt=*/false);
   attach_clause(c);
   return true;
 }
@@ -135,7 +150,6 @@ Solver::ClauseRef Solver::propagate() {
         ws[j++] = w;
         continue;
       }
-      ClauseData& cd = clauses_[w.cref];
       Lit* lits = clause_lits(w.cref);
       // Make sure the false literal is lits[1].
       const Lit false_lit = ~p;
@@ -148,8 +162,9 @@ Solver::ClauseRef Solver::propagate() {
         continue;
       }
       // Look for a new literal to watch.
+      const std::uint32_t size = clause_size(w.cref);
       bool found = false;
-      for (std::uint32_t k = 2; k < cd.size; ++k) {
+      for (std::uint32_t k = 2; k < size; ++k) {
         if (value(lits[k]) != LBool::False) {
           std::swap(lits[1], lits[k]);
           watches_[(~lits[1]).index()].push_back(Watcher{w.cref, first});
@@ -174,7 +189,7 @@ Solver::ClauseRef Solver::propagate() {
       int implied_level = p_level;
       std::uint32_t max_k = 1;
       if (p_level < decision_level()) {
-        for (std::uint32_t k = 2; k < cd.size; ++k) {
+        for (std::uint32_t k = 2; k < size; ++k) {
           const int lv = level(lits[k].var());
           if (lv > implied_level) {
             implied_level = lv;
@@ -205,16 +220,17 @@ void Solver::var_bump_activity(Var v) {
   if (heap_pos_[static_cast<std::size_t>(v)] >= 0) heap_update(v);
 }
 
-void Solver::cla_bump_activity(ClauseData& c) {
-  c.activity += cla_inc_;
-  if (c.activity > 1e20f) {
-    for (ClauseRef cr : learnts_) clauses_[cr].activity *= 1e-20f;
+void Solver::cla_bump_activity(ClauseRef c) {
+  const float activity = clause_activity(c) + cla_inc_;
+  set_clause_activity(c, activity);
+  if (activity > 1e20f) {
+    for (ClauseRef cr : learnts_) set_clause_activity(cr, clause_activity(cr) * 1e-20f);
     cla_inc_ *= 1e-20f;
   }
 }
 
 int Solver::conflict_level(ClauseRef confl, bool& forced) {
-  const std::uint32_t size = clauses_[confl].size;
+  const std::uint32_t size = clause_size(confl);
   Lit* lits = clause_lits(confl);
   // Indices of the highest and second-highest level literals.
   std::uint32_t hi = 0, second = 1;
@@ -253,10 +269,10 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
 
   do {
     assert(confl != kNoClause);
-    ClauseData& cd = clauses_[confl];
-    if (cd.learned) cla_bump_activity(cd);
-    Lit* lits = clause_lits(confl);
-    for (std::uint32_t k = (p == Lit::undef()) ? 0 : 1; k < cd.size; ++k) {
+    if (is_learnt(confl)) cla_bump_activity(confl);
+    const Lit* lits = clause_lits(confl);
+    const std::uint32_t size = clause_size(confl);
+    for (std::uint32_t k = (p == Lit::undef()) ? 0 : 1; k < size; ++k) {
       const Lit q = lits[k];
       const Var v = q.var();
       if (!seen_[static_cast<std::size_t>(v)] && var_info_[static_cast<std::size_t>(v)].level > 0) {
@@ -358,9 +374,9 @@ bool Solver::lit_redundant(Lit p, std::uint32_t abstract_levels) {
     analyze_stack_.pop_back();
     const ClauseRef reason = var_info_[static_cast<std::size_t>(q.var())].reason;
     assert(reason != kNoClause);
-    const ClauseData& cd = clauses_[reason];
     const Lit* lits = clause_lits(reason);
-    for (std::uint32_t k = 1; k < cd.size; ++k) {
+    const std::uint32_t size = clause_size(reason);
+    for (std::uint32_t k = 1; k < size; ++k) {
       const Lit r = lits[k];
       const Var v = r.var();
       const int lv = var_info_[static_cast<std::size_t>(v)].level;
@@ -412,9 +428,9 @@ void Solver::analyze_final(Lit p) {
       // the trail holds the assumption literal as passed by the caller.
       conflict_.push_back(trail_[i]);
     } else {
-      const ClauseData& cd = clauses_[reason];
       const Lit* lits = clause_lits(reason);
-      for (std::uint32_t k = 1; k < cd.size; ++k) {
+      const std::uint32_t size = clause_size(reason);
+      for (std::uint32_t k = 1; k < size; ++k) {
         if (var_info_[static_cast<std::size_t>(lits[k].var())].level > 0) {
           seen_[static_cast<std::size_t>(lits[k].var())] = 1;
         }
@@ -462,17 +478,15 @@ Lit Solver::pick_branch_lit() {
 void Solver::reduce_db() {
   // Keep clauses with small LBD; delete the less active half of the rest.
   std::sort(learnts_.begin(), learnts_.end(), [this](ClauseRef a, ClauseRef b) {
-    const ClauseData& ca = clauses_[a];
-    const ClauseData& cb = clauses_[b];
-    if (ca.lbd != cb.lbd) return ca.lbd > cb.lbd;
-    return ca.activity < cb.activity;
+    const std::uint32_t lbd_a = clause_lbd(a), lbd_b = clause_lbd(b);
+    if (lbd_a != lbd_b) return lbd_a > lbd_b;
+    return clause_activity(a) < clause_activity(b);
   });
   std::vector<ClauseRef> kept;
   kept.reserve(learnts_.size());
   const std::size_t target = learnts_.size() / 2;
   for (std::size_t i = 0; i < learnts_.size(); ++i) {
-    ClauseRef cr = learnts_[i];
-    ClauseData& cd = clauses_[cr];
+    const ClauseRef cr = learnts_[i];
     bool locked = false;
     // A clause is locked if it is the reason for a current assignment.
     const Lit l0 = clause_lits(cr)[0];
@@ -480,10 +494,9 @@ void Solver::reduce_db() {
         var_info_[static_cast<std::size_t>(l0.var())].reason == cr) {
       locked = true;
     }
-    if (i < target && cd.lbd > 2 && !locked) {
+    if (i < target && clause_lbd(cr) > 2 && !locked) {
       detach_clause(cr);
-      cd.deleted = true;
-      garbage_lits_ += cd.size;
+      delete_clause(cr);
       ++stats_.deleted_clauses;
     } else {
       kept.push_back(cr);
@@ -492,40 +505,56 @@ void Solver::reduce_db() {
   learnts_ = std::move(kept);
   // Deleted clauses are detached (no watcher refs) and never reasons (locked
   // clauses are kept), so their storage is reclaimable. Compact once a
-  // quarter of the arena is dead; without this, lit_arena_/clauses_ grow
+  // quarter of the arena is dead; without this, lit_arena_ grows
   // monotonically — an unbounded leak over long portfolio runs.
   if (garbage_lits_ * 4 > lit_arena_.size()) garbage_collect();
 }
 
 void Solver::garbage_collect() {
-  std::vector<ClauseRef> remap(clauses_.size(), kNoClause);
-  std::vector<ClauseData> live_clauses;
-  std::vector<Lit> live_arena;
-  live_clauses.reserve(clauses_.size());
-  live_arena.reserve(lit_arena_.size() - garbage_lits_);
-  for (ClauseRef c = 0; c < static_cast<ClauseRef>(clauses_.size()); ++c) {
-    const ClauseData& cd = clauses_[c];
-    if (cd.deleted) continue;
-    remap[c] = static_cast<ClauseRef>(live_clauses.size());
-    ClauseData nd = cd;
-    nd.offset = static_cast<std::uint32_t>(live_arena.size());
-    live_arena.insert(live_arena.end(), lit_arena_.begin() + cd.offset,
-                      lit_arena_.begin() + cd.offset + cd.size);
-    live_clauses.push_back(nd);
+  // Forwarding pass: each record's first literal slot takes the offset the
+  // record moves to (kNoClause for a deleted one); the displaced literals of
+  // live records wait in `firsts`, in arena order. Every record has at least
+  // two literals, so the slot always exists.
+  std::vector<Lit> firsts;
+  ClauseRef to = 0;
+  for (ClauseRef c = 0; c < lit_arena_.size(); c += record_words(c)) {
+    if (is_deleted(c)) {
+      set_word(c + 1, kNoClause);
+    } else {
+      firsts.push_back(lit_arena_[c + 1]);
+      set_word(c + 1, to);
+      to += static_cast<ClauseRef>(record_words(c));
+    }
   }
-  // Remap every live ClauseRef: the learnt list, all watchers, and the
-  // reasons of assigned variables (only trail entries can be consulted as
-  // reasons; stale refs on unassigned variables are never dereferenced).
-  for (ClauseRef& cr : learnts_) cr = remap[cr];
+  // Remap every live ClauseRef through the forwarding slots: the learnt list
+  // (its order, which reduce_db's sort starts from, is kept), all watchers,
+  // and the reasons of assigned variables (only trail entries can be
+  // consulted as reasons; stale refs on unassigned variables are never
+  // dereferenced).
+  const auto forward = [this](ClauseRef c) { return word(c + 1); };
+  for (ClauseRef& cr : learnts_) cr = forward(cr);
   for (auto& ws : watches_) {
-    for (Watcher& w : ws) w.cref = remap[w.cref];
+    for (Watcher& w : ws) w.cref = forward(w.cref);
   }
   for (const Lit p : trail_) {
     ClauseRef& reason = var_info_[static_cast<std::size_t>(p.var())].reason;
-    if (reason != kNoClause) reason = remap[reason];
+    if (reason != kNoClause) reason = forward(reason);
   }
-  clauses_ = std::move(live_clauses);
-  lit_arena_ = std::move(live_arena);
+  // Sliding pass: live records move down in order, so a write never reaches
+  // a header the walk has yet to read.
+  to = 0;
+  std::size_t next_first = 0;
+  for (ClauseRef c = 0; c < lit_arena_.size();) {
+    const std::size_t words = record_words(c);
+    if (!is_deleted(c)) {
+      lit_arena_[to] = lit_arena_[c];
+      lit_arena_[to + 1] = firsts[next_first++];
+      for (std::size_t k = 2; k < words; ++k) lit_arena_[to + k] = lit_arena_[c + k];
+      to += static_cast<ClauseRef>(words);
+    }
+    c += static_cast<ClauseRef>(words);
+  }
+  lit_arena_.resize(to);
   garbage_lits_ = 0;
 }
 
@@ -563,9 +592,10 @@ bool Solver::import_foreign() {
       uncheckedEnqueue(out[0], 0, kNoClause);
       enqueued = true;
     } else {
-      const ClauseRef cr = alloc_clause(out, /*learned=*/true);
-      clauses_[cr].lbd = std::min<std::uint32_t>(sc.lbd != 0 ? sc.lbd : 2,
-                                                 static_cast<std::uint32_t>(out.size()));
+      const ClauseRef cr =
+          alloc_clause(out, /*learnt=*/true,
+                       std::min<std::uint32_t>(sc.lbd != 0 ? sc.lbd : 2,
+                                               static_cast<std::uint32_t>(out.size())));
       attach_clause(cr);
       learnts_.push_back(cr);
     }
@@ -694,8 +724,7 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
           return false;
         }
       } else {
-        const ClauseRef cr = alloc_clause(learnt, /*learned=*/true);
-        clauses_[cr].lbd = lbd;
+        const ClauseRef cr = alloc_clause(learnt, /*learnt=*/true, lbd);
         attach_clause(cr);
         learnts_.push_back(cr);
         ++stats_.learned_clauses;
@@ -771,9 +800,9 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
 void Solver::for_each_problem_clause(
     const std::function<void(const std::vector<Lit>&)>& fn) const {
   std::vector<Lit> tmp;
-  for (const ClauseData& cd : clauses_) {
-    if (cd.learned || cd.deleted) continue;
-    tmp.assign(lit_arena_.begin() + cd.offset, lit_arena_.begin() + cd.offset + cd.size);
+  for (ClauseRef c = 0; c < lit_arena_.size(); c += record_words(c)) {
+    if (is_learnt(c) || is_deleted(c)) continue;
+    tmp.assign(clause_lits(c), clause_lits(c) + clause_size(c));
     fn(tmp);
   }
   // Level-0 units (facts) that never became stored clauses. Out-of-order

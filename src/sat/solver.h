@@ -13,10 +13,14 @@
 //   - learned-clause database reduction driven by LBD (glue),
 //   - solving under assumptions for incremental use (the Alg. 1 / Alg. 2
 //     loops re-solve the same transition relation with shrinking state sets,
-//     so clauses are kept across calls and only the assumption set changes).
+//     so clauses are kept across calls and only the assumption set changes),
+//   - MiniSat's clause-allocator layout: each clause is one record in a
+//     single word arena, its header inline before its literals, so a watcher
+//     visit touches one memory region (see "clause storage" below).
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -243,24 +247,32 @@ public:
   // --- observability for tests -------------------------------------------------
   // Learnt-DB reduction threshold (default 8192, grows 10% per reduction).
   void set_max_learnts(std::uint64_t n) { max_learnts_ = n; }
+  // Words in the clause arena: every stored clause's header, literals and,
+  // for learnt clauses, LBD and activity words (see "clause storage").
   std::size_t arena_size() const { return lit_arena_.size(); }
+  // Bytes the arena has reserved, the memory gauge behind
+  // SolverBackend::arena_bytes.
+  std::size_t arena_bytes() const { return lit_arena_.capacity() * sizeof(Lit); }
   // Live learnt clauses currently attached — the database the incremental
   // sweeps retain across rounds and iterations (reported by the verifier).
   std::size_t num_learnts() const { return learnts_.size(); }
-  // Literals owned by deleted clauses still occupying the arena. Bounded by
+  // Arena words owned by deleted clauses, headers included. Bounded by
   // garbage collection in reduce_db: never exceeds 1/4 of the arena.
   std::size_t arena_garbage() const { return garbage_lits_; }
-  std::size_t allocated_clauses() const { return clauses_.size(); }
+  // Clause records in the arena, deleted ones included until the next
+  // garbage collection.
+  std::size_t allocated_clauses() const;
 
 private:
-  struct ClauseData {
-    std::uint32_t offset;   // into literal arena
-    std::uint32_t size;
-    float activity = 0.0f;
-    std::uint32_t lbd = 0;
-    bool learned = false;
-    bool deleted = false;
-  };
+  // --- clause storage ----------------------------------------------------------
+  // Every stored clause is one record in lit_arena_, whose 32-bit slots hold
+  // either a literal or a raw word (read and written via word/set_word):
+  //   [header] [lit 0] ... [lit size-1] ([lbd] [activity])
+  // The header is `size << 2 | deleted << 1 | learnt`; the two trailing words
+  // exist only for learnt clauses and hold the LBD and the activity's float
+  // bits. A problem clause thus costs one word beyond its literals, a learnt
+  // clause three. Clauses of fewer than two literals are never stored.
+  // A ClauseRef is the offset of a record's header word.
   using ClauseRef = std::uint32_t;
   static constexpr ClauseRef kNoClause = std::numeric_limits<ClauseRef>::max();
 
@@ -275,8 +287,28 @@ private:
   };
 
   // --- internals -------------------------------------------------------------
-  Lit* clause_lits(ClauseRef c) { return lit_arena_.data() + clauses_[c].offset; }
-  const Lit* clause_lits(ClauseRef c) const { return lit_arena_.data() + clauses_[c].offset; }
+  std::uint32_t word(std::size_t i) const {
+    return static_cast<std::uint32_t>(lit_arena_[i].index());
+  }
+  void set_word(std::size_t i, std::uint32_t w) {
+    lit_arena_[i] = Lit::from_index(static_cast<std::int32_t>(w));
+  }
+  Lit* clause_lits(ClauseRef c) { return lit_arena_.data() + c + 1; }
+  const Lit* clause_lits(ClauseRef c) const { return lit_arena_.data() + c + 1; }
+  std::uint32_t clause_size(ClauseRef c) const { return word(c) >> 2; }
+  bool is_learnt(ClauseRef c) const { return (word(c) & 1u) != 0; }
+  bool is_deleted(ClauseRef c) const { return (word(c) & 2u) != 0; }
+  // Arena words of the record at `c`: header, literals, learnt trailer.
+  std::size_t record_words(ClauseRef c) const {
+    return 1 + std::size_t{clause_size(c)} + (is_learnt(c) ? 2 : 0);
+  }
+  std::uint32_t clause_lbd(ClauseRef c) const { return word(c + 1 + clause_size(c)); }
+  float clause_activity(ClauseRef c) const {
+    return std::bit_cast<float>(word(c + 2 + clause_size(c)));
+  }
+  void set_clause_activity(ClauseRef c, float a) {
+    set_word(c + 2 + clause_size(c), std::bit_cast<std::uint32_t>(a));
+  }
 
   LBool value(Var v) const { return assigns_[static_cast<std::size_t>(v)]; }
   LBool value(Lit l) const {
@@ -284,7 +316,11 @@ private:
     return l.sign() ? lbool_not(v) : v;
   }
 
-  ClauseRef alloc_clause(const std::vector<Lit>& lits, bool learned);
+  // Appends a record; `lbd` is stored only for learnt clauses.
+  ClauseRef alloc_clause(const std::vector<Lit>& lits, bool learnt, std::uint32_t lbd = 0);
+  // Sets the deleted flag and counts the record as garbage. The caller has
+  // detached it (or is about to rebuild every watch list).
+  void delete_clause(ClauseRef c);
   void attach_clause(ClauseRef c);
   void detach_clause(ClauseRef c);
 
@@ -299,8 +335,9 @@ private:
   // to the root and attaches them. Returns false on a root-level conflict
   // (the formula, shared clauses included, is UNSAT outright).
   bool import_foreign();
-  // Rebuilds lit_arena_/clauses_ without deleted clauses, remapping every
-  // live ClauseRef (watchers, learnts_, trail reasons).
+  // Compacts lit_arena_ in place, sliding every live record down over the
+  // deleted ones in arena order, and remaps every live ClauseRef (watchers,
+  // learnts_, trail reasons).
   void garbage_collect();
   ClauseRef propagate();
   // Highest level among the (all false) literals of `confl`. Moves the two
@@ -319,7 +356,7 @@ private:
   void reduce_db();
   void var_bump_activity(Var v);
   void var_decay_activity() { var_inc_ *= (1.0 / 0.95); }
-  void cla_bump_activity(ClauseData& c);
+  void cla_bump_activity(ClauseRef c);
 
   int decision_level() const { return static_cast<int>(trail_lim_.size()); }
 
@@ -336,8 +373,7 @@ private:
 
   // --- state -----------------------------------------------------------------
   bool ok_ = true;
-  std::vector<Lit> lit_arena_;
-  std::vector<ClauseData> clauses_;
+  std::vector<Lit> lit_arena_;  // clause records; see "clause storage"
   std::vector<ClauseRef> learnts_;
   std::vector<std::vector<Watcher>> watches_; // indexed by literal index
 
@@ -383,7 +419,7 @@ private:
   std::uint64_t progress_every_ = 0;
 
   std::vector<int> lbd_levels_;     // scratch for the per-conflict LBD count
-  std::size_t garbage_lits_ = 0;    // arena literals held by deleted clauses
+  std::size_t garbage_lits_ = 0;    // arena words held by deleted clauses
 
   SolverStats stats_;
 };

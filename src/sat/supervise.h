@@ -54,6 +54,7 @@ public:
   std::uint64_t cache_hits() const override { return fallback_.cache_hits(); }
   std::uint64_t cache_misses() const override { return fallback_.cache_misses(); }
   std::size_t live_learnts() const override { return fallback_.live_learnts(); }
+  std::size_t arena_bytes() const override { return fallback_.arena_bytes(); }
 
   void set_deadline(std::chrono::steady_clock::time_point t) override;
   void clear_deadline() override;

@@ -30,6 +30,9 @@ void collect_solver_usage(const UpecContext& ctx, SolverUsage& usage) {
   util::MetricsSnapshot total_m = main_m;
   usage.metrics.merge_prefixed("sat.solver.main.", main_m);
   usage.retained_learnts = ctx.solver.num_learnts();
+  // Clause-arena memory per solver. Gauges outside the sat.solver.* tree, so
+  // the counter identity total == main + sum of workers covers counters only.
+  usage.metrics.set_gauge("sat.arena_bytes.main", ctx.solver.arena_bytes());
 
   if (ctx.scheduler) {
     const std::vector<sat::SolverStats> worker_stats = ctx.scheduler->worker_stats();
@@ -37,6 +40,7 @@ void collect_solver_usage(const UpecContext& ctx, SolverUsage& usage) {
     usage.per_worker_cache_hits = ctx.scheduler->worker_cache_hits();
     usage.per_worker_health = ctx.scheduler->worker_health();
     const std::vector<std::size_t> live = ctx.scheduler->worker_live_learnts();
+    const std::vector<std::size_t> arena = ctx.scheduler->worker_arena_bytes();
     const unsigned W = ctx.scheduler->workers();
     usage.per_worker.reserve(W);
     for (unsigned w = 0; w < W; ++w) {
@@ -61,6 +65,7 @@ void collect_solver_usage(const UpecContext& ctx, SolverUsage& usage) {
       sat::append_metrics(hm, usage.per_worker_health[w]);
       usage.metrics.merge_prefixed("sat.health.w" + std::to_string(w) + ".", hm);
       usage.retained_learnts += live[w];
+      usage.metrics.set_gauge("sat.arena_bytes.w" + std::to_string(w), arena[w]);
     }
     usage.simplify = ctx.scheduler->simplify_stats();
     usage.metrics.add_counter("sat.channel.published", ctx.scheduler->shared_clauses());

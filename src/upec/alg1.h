@@ -83,7 +83,8 @@ struct SolverUsage {
   // The unified named-counter registry for the run: per-component snapshots
   // under `sat.solver.main.`, `sat.solver.w<k>.`, `sat.solver.w<k>.m<j>.`,
   // their merge under `sat.solver.total.`, plus `upec.*`, `sat.channel.*`,
-  // `sat.simplify.*`, and `sat.health.w<k>.*`. Counter naming and merge
+  // `sat.simplify.*`, `sat.health.w<k>.*`, and the clause-arena gauges
+  // `sat.arena_bytes.main` / `sat.arena_bytes.w<k>`. Counter naming and merge
   // conventions: README "Observability".
   util::MetricsSnapshot metrics;
 };

@@ -237,6 +237,28 @@ TEST(MetricsAggregation, TotalsEqualSumOfPartsUnderPortfolio) {
   EXPECT_EQ(m.get("sat.channel.imported"), r.stats.total.imported_clauses);
 }
 
+TEST(MetricsAggregation, ArenaGaugesCoverEverySolver) {
+  const soc::Soc soc = small_soc();
+  VerifyOptions options;
+  options.threads = 2;
+  UpecContext ctx(soc, options);
+  Alg1Options opts;
+  opts.extract_waveform = false;
+  const Alg1Result r = run_alg1(ctx, opts);
+  const util::MetricsSnapshot& m = r.stats.metrics;
+  ASSERT_EQ(r.stats.per_worker.size(), 2u);
+  for (const char* name : {"sat.arena_bytes.main", "sat.arena_bytes.w0", "sat.arena_bytes.w1"}) {
+    ASSERT_TRUE(m.has(name)) << name;
+    EXPECT_EQ(m.entries().at(name).kind, util::MetricKind::Gauge) << name;
+    EXPECT_GT(m.get(name), 0u) << name;
+  }
+  // Gauges stay out of the sat.solver.* tree, whose totals sum counters.
+  EXPECT_EQ(m.filtered({"sat.arena_bytes."}).size(), 3u);
+  for (const auto& [name, entry] : m.filtered({"sat.solver."}).entries()) {
+    EXPECT_EQ(entry.kind, util::MetricKind::Counter) << name;
+  }
+}
+
 TEST(MetricsAggregation, SingleSolverRunHasNoWorkerEntries) {
   const soc::Soc soc = small_soc();
   UpecContext ctx(soc);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <ostream>
 
 #include "util/rng.h"
 
@@ -300,42 +301,64 @@ TEST_P(SatRandom, MatchesBruteForce) {
 // backtrack chronologically and the trail leaves level order. The cores are
 // random 3-SAT at clause/variable ratio 4.5 to 5.5 over 10 to 16 variables:
 // about half are satisfiable, and most learn such clauses.
-TEST_P(SatRandom, PaddedCoreMatchesBruteForce) {
-  Xoshiro256 rng(5000 + GetParam());
-  const int core_vars = 10 + static_cast<int>(rng.below(7));
-  const IntClauses clauses = random_clauses(
-      rng, core_vars, 3, 3, core_vars * 9 / 2 + static_cast<int>(rng.below(core_vars)));
-  const bool brute_sat = brute_force_sat(clauses, core_vars);
-
-  Solver s;
-  const Var g = s.new_var();
+struct PaddedCore {
+  IntClauses clauses;
+  bool brute_sat = false;
+  Var g = kUndefVar;
   std::vector<Var> vars;
-  for (int i = 0; i < core_vars; ++i) vars.push_back(s.new_var());
-  std::vector<Lit> assumptions = {pos(g)};
-  for (int i = 0; i < Solver::kChronoThreshold + 50; ++i) {
-    assumptions.push_back(Lit(s.new_var(), rng.chance(0.5)));
+  std::vector<Lit> assumptions;
+
+  PaddedCore(Solver& s, int seed) {
+    Xoshiro256 rng(5000 + seed);
+    const int core_vars = 10 + static_cast<int>(rng.below(7));
+    clauses = random_clauses(rng, core_vars, 3, 3,
+                             core_vars * 9 / 2 + static_cast<int>(rng.below(core_vars)));
+    brute_sat = brute_force_sat(clauses, core_vars);
+    g = s.new_var();
+    for (int i = 0; i < core_vars; ++i) vars.push_back(s.new_var());
+    assumptions = {pos(g)};
+    for (int i = 0; i < Solver::kChronoThreshold + 50; ++i) {
+      assumptions.push_back(Lit(s.new_var(), rng.chance(0.5)));
+    }
   }
-  for (const auto& cl : clauses) {
-    std::vector<Lit> lits = {neg(g)};
-    for (int lit : cl) lits.push_back(Lit(vars[std::abs(lit) - 1], lit < 0));
-    ASSERT_TRUE(s.add_clause(lits));
+
+  // Adds every core clause, each extended by ¬g.
+  bool add_to(Solver& s) const {
+    bool ok = true;
+    for (const auto& cl : clauses) {
+      std::vector<Lit> lits = {neg(g)};
+      for (int lit : cl) lits.push_back(Lit(vars[std::abs(lit) - 1], lit < 0));
+      ok = s.add_clause(lits) && ok;
+    }
+    return ok;
   }
-  EXPECT_EQ(s.solve(assumptions), brute_sat);
-  if (brute_sat) {
-    EXPECT_EQ(s.validate_model(), 0u);
-    for (Lit a : assumptions) EXPECT_TRUE(s.model_value(a));
-  } else {
-    const std::vector<Lit> core = s.conflict_assumptions();
-    const std::vector<Lit> expected = {pos(g)};
-    EXPECT_EQ(core, expected);
-    EXPECT_FALSE(s.solve(core));
+
+  // Solves under the assumptions and checks the answer: the brute-force
+  // verdict, a model that satisfies every clause and assumption, or the core
+  // {g}, which refutes on its own.
+  void expect_answer(Solver& s) const {
+    EXPECT_EQ(s.solve(assumptions), brute_sat);
+    if (brute_sat) {
+      EXPECT_EQ(s.validate_model(), 0u);
+      for (Lit a : assumptions) EXPECT_TRUE(s.model_value(a));
+    } else {
+      const std::vector<Lit> core = s.conflict_assumptions();
+      const std::vector<Lit> expected = {pos(g)};
+      EXPECT_EQ(core, expected);
+      EXPECT_FALSE(s.solve(core));
+    }
+    EXPECT_TRUE(s.okay());
   }
-  EXPECT_TRUE(s.okay());
+};
+
+TEST_P(SatRandom, PaddedCoreMatchesBruteForce) {
+  Solver s;
+  const PaddedCore core(s, GetParam());
+  ASSERT_TRUE(core.add_to(s));
+  core.expect_answer(s);
   ASSERT_TRUE(s.solve()); // ¬g satisfies every core clause
   EXPECT_EQ(s.validate_model(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(RandomInstances, SatRandom, ::testing::Range(0, 40));
 
 // Pigeonhole P into P-1, optionally guarded: every clause gets ¬guard so the
 // contradiction only fires under the assumption `guard` and the solver stays
@@ -393,6 +416,39 @@ void expect_padded_unsat(Solver& s, const std::vector<Lit>& assumptions) {
   ASSERT_TRUE(s.solve());
   EXPECT_EQ(s.validate_model(), 0u);
 }
+
+// The padded corpus with the garbage collector under load. Each round adds
+// a pigeonhole PHP(7,6) behind a fresh guard h and refutes it behind the
+// padding: hundreds of conflicts, so under a learnt-DB cap of 20 reduce_db
+// and the arena compaction run many times mid-search. The core's
+// brute-force answer is checked after each refutation. Round 2 starts with
+// drop_problem_clauses(), itself a compaction, and adds the formula again:
+// the core's records then sit above learnt records that the next pigeonhole
+// search deletes, so the collector slides them down while they are in use.
+TEST_P(SatRandom, GarbageCollectionUnderLoad) {
+  Solver s;
+  s.set_max_learnts(20);
+  const PaddedCore core(s, GetParam());
+  for (int round = 0; round < 2; ++round) {
+    if (round > 0) {
+      s.drop_problem_clauses();
+      EXPECT_EQ(s.arena_garbage(), 0u);
+      EXPECT_EQ(s.allocated_clauses(), s.num_learnts());
+    }
+    ASSERT_TRUE(core.add_to(s));
+    const Var h = s.new_var();
+    add_pigeonhole(s, 7, pos(h));
+    std::vector<Lit> assumptions = core.assumptions;
+    assumptions[0] = pos(h);  // the padding, behind h instead of g
+    const std::uint64_t deleted_before = s.stats().deleted_clauses;
+    expect_padded_unsat(s, assumptions);
+    EXPECT_GT(s.stats().deleted_clauses, deleted_before);
+    EXPECT_LE(s.arena_garbage() * 4, s.arena_size());
+    core.expect_answer(s);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomInstances, SatRandom, ::testing::Range(0, 40));
 
 TEST(Sat, ChronologicalBacktrackingKeepsVerdictAndCore) {
   Solver s;
@@ -564,11 +620,43 @@ TEST(Sat, ReduceDbReclaimsArena) {
   s.set_max_learnts(50);
   EXPECT_FALSE(s.solve());
   ASSERT_GT(s.stats().deleted_clauses, 0u);
-  // Garbage collection keeps dead literals bounded by a quarter of the arena.
+  // Garbage collection keeps dead words (literals, headers and learnt
+  // trailers) bounded by a quarter of the arena.
   EXPECT_LE(s.arena_garbage() * 4, s.arena_size());
   // And actually compacts: live allocation sits well below total-ever.
   EXPECT_LT(s.allocated_clauses(),
             static_cast<std::size_t>(s.stats().learned_clauses) / 2);
+}
+
+TEST(Sat, ArenaAccounting) {
+  // A stored problem clause costs its literals plus one header word. Units,
+  // tautologies and duplicate literals are normalized away before storage.
+  Solver s;
+  add_pigeonhole(s, 7);  // 7 clauses of 6 literals, 6 * C(7,2) binary ones
+  const Var a = s.new_var(), b = s.new_var(), c = s.new_var();
+  s.add_clause({pos(a), pos(a), neg(b)});  // stored as (a ∨ ¬b)
+  s.add_clause(pos(b), neg(b));            // tautology: not stored
+  s.add_clause(pos(c));                    // unit: a root fact, not stored
+  const std::size_t problem_clauses = 7 + 6 * 21 + 1;
+  const std::size_t problem_lits = 7 * 6 + 6 * 21 * 2 + 2;
+  EXPECT_EQ(s.allocated_clauses(), problem_clauses);
+  EXPECT_EQ(s.arena_size(), problem_clauses + problem_lits);
+  EXPECT_EQ(s.arena_garbage(), 0u);
+
+  // A learnt clause costs its literals plus three words (header, LBD,
+  // activity). Far below the reduction threshold, every learnt clause of two
+  // or more literals is still stored after the solve.
+  std::size_t learnt_words = 0;
+  s.set_export_hook(
+      [&](const std::vector<Lit>& lits, unsigned) {
+        if (lits.size() >= 2) learnt_words += lits.size() + 3;
+      },
+      /*lbd_cap=*/~0u, /*size_cap=*/~0u);
+  EXPECT_FALSE(s.solve());
+  ASSERT_LT(s.stats().learned_clauses, 8192u);
+  EXPECT_GT(learnt_words, 0u);
+  EXPECT_EQ(s.arena_size(), problem_clauses + problem_lits + learnt_words);
+  EXPECT_GE(s.arena_bytes(), s.arena_size() * sizeof(Lit));
 }
 
 TEST(Sat, GarbageCollectionKeepsSolverUsable) {
@@ -596,6 +684,68 @@ TEST(Sat, GarbageCollectionKeepsSolverUsable) {
   EXPECT_GT(deep.stats().deleted_clauses, 0u);
   EXPECT_GT(deep.stats().chrono_backtracks, 0u);
   EXPECT_FALSE(deep.solve(assumptions)); // still UNSAT through remapped clauses
+}
+
+// The search counters that any change to clause storage, garbage collection
+// or reduce_db bookkeeping must leave exactly as they are. A layout change
+// that moves one of them changed which literal is watched, which clause is
+// deleted, or which reason is followed — not just where bytes live.
+struct SearchCounters {
+  std::uint64_t conflicts, propagations, decisions, learned, deleted, chrono;
+  friend bool operator==(const SearchCounters&, const SearchCounters&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const SearchCounters& c) {
+    return os << "{" << c.conflicts << ", " << c.propagations << ", " << c.decisions << ", "
+              << c.learned << ", " << c.deleted << ", " << c.chrono << "}";
+  }
+};
+
+SearchCounters counters_of(const SolverStats& st) {
+  return {st.conflicts,       st.propagations,    st.decisions,
+          st.learned_clauses, st.deleted_clauses, st.chrono_backtracks};
+}
+
+TEST(Sat, SearchFingerprint) {
+  {
+    Solver s;
+    add_pigeonhole(s, 8);
+    EXPECT_FALSE(s.solve());
+    EXPECT_EQ(counters_of(s.stats()), (SearchCounters{2939, 34945, 3424, 2933, 0, 0}));
+  }
+  {
+    Solver s;
+    const std::vector<Lit> assumptions = add_padded_pigeonhole(s, 7, 150);
+    EXPECT_FALSE(s.solve(assumptions));
+    EXPECT_EQ(counters_of(s.stats()), (SearchCounters{701, 9103, 851, 700, 0, 3}));
+  }
+  {
+    // Random 3-SAT near the threshold, re-solved under a changing set of
+    // assumptions with a tiny learnt-DB cap, so reduce_db and garbage
+    // collection run many times in the middle of searches.
+    Xoshiro256 rng(2024);
+    constexpr int kVars = 200;
+    Solver s;
+    s.set_max_learnts(50);
+    std::vector<Var> vars;
+    for (int i = 0; i < kVars; ++i) vars.push_back(s.new_var());
+    for (const auto& cl : random_clauses(rng, kVars, 3, 3, kVars * 42 / 10)) {
+      std::vector<Lit> lits;
+      for (int lit : cl) lits.push_back(Lit(vars[std::abs(lit) - 1], lit < 0));
+      ASSERT_TRUE(s.add_clause(lits));
+    }
+    int sat_answers = 0;
+    for (int round = 0; round < 20; ++round) {
+      std::vector<Lit> assumptions;
+      for (int i = 0; i < 6; ++i) {
+        assumptions.push_back(Lit(vars[rng.below(kVars)], rng.chance(0.5)));
+      }
+      if (s.solve(assumptions)) {
+        ++sat_answers;
+        EXPECT_EQ(s.validate_model(), 0u);
+      }
+    }
+    EXPECT_EQ(sat_answers, 3);
+    EXPECT_EQ(counters_of(s.stats()), (SearchCounters{28173, 1097490, 33753, 28173, 24084, 0}));
+  }
 }
 
 } // namespace
