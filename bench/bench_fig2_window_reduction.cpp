@@ -38,7 +38,7 @@ int main() {
       prop.assumptions.push_back(ctx.miter.eq_assumption(sv));
       diffs.push_back(ctx.miter.diff_literal(sv, k));
     }
-    prop.violation = ctx.engine.violation_any(ctx.miter.cnf(), diffs);
+    prop.violation = ipc::make_violation_any(ctx.miter.cnf(), diffs);
     const ipc::CheckResult r = ctx.engine.check(prop);
     std::printf("%-4u %-14llu %-14llu %-12.3f %-12llu\n", k,
                 static_cast<unsigned long long>(ctx.miter.cnf().num_aux_vars()),

@@ -173,12 +173,12 @@ void Miter::frozen_vars(std::vector<sat::Var>& out) const {
   }
 }
 
-bool Miter::differs_in_model(const sat::ModelSource& model, rtlir::StateVarId sv,
-                             unsigned frame) {
+bool Miter::differs_in_model(rtlir::StateVarId sv, unsigned frame) {
+  assert(model_ != nullptr && "no model source installed (store-only miter?)");
   const Lit ex = exempt_lit(sv);
-  if (!cnf_.is_false(ex) && model.model_value(ex)) return false;
-  const std::uint64_t va = model_value(model, a_.state_at(frame, sv));
-  const std::uint64_t vb = model_value(model, b_.state_at(frame, sv));
+  if (!cnf_.is_false(ex) && model_->model_value(ex)) return false;
+  const std::uint64_t va = model_value(*model_, a_.state_at(frame, sv));
+  const std::uint64_t vb = model_value(*model_, b_.state_at(frame, sv));
   return va != vb;
 }
 

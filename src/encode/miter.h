@@ -131,16 +131,11 @@ public:
     return model_value(*model_, image);
   }
   bool lit_in_model(Lit l) const;
-  // True iff the two instances disagree on sv at `frame` in the given model
-  // and the variable is not exempted by the model's victim range. The images
-  // must already be encoded (they are, once a diff_literal for (sv, frame)
-  // exists) — the ModelSource overload is how the scheduler inspects worker
-  // models without re-encoding.
-  bool differs_in_model(const sat::ModelSource& model, rtlir::StateVarId sv, unsigned frame);
-  bool differs_in_model(rtlir::StateVarId sv, unsigned frame) {
-    assert(model_ != nullptr && "no model source installed (store-only miter?)");
-    return differs_in_model(*model_, sv, frame);
-  }
+  // True iff the two instances disagree on sv at `frame` in the installed
+  // model source and the variable is not exempted by the model's victim
+  // range. The images must already be encoded (they are, once a
+  // diff_literal for (sv, frame) exists).
+  bool differs_in_model(rtlir::StateVarId sv, unsigned frame);
 
 private:
   CnfBuilder cnf_;

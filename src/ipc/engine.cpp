@@ -15,11 +15,6 @@ encode::Lit make_violation_any(encode::CnfBuilder& cnf,
   return act;
 }
 
-encode::Lit Engine::violation_any(encode::CnfBuilder& cnf,
-                                  const std::vector<encode::Lit>& disjuncts) {
-  return make_violation_any(cnf, disjuncts);
-}
-
 CheckResult Engine::check(const BoundedProperty& property) {
   std::vector<encode::Lit> assumptions = property.assumptions;
   assumptions.push_back(property.violation);
@@ -32,18 +27,6 @@ CheckResult Engine::check_assumptions(const std::vector<encode::Lit>& assumption
   span.arg("assumptions", static_cast<std::uint64_t>(assumptions.size()));
   CheckResult result;
   if (core_out != nullptr) core_out->clear();
-
-  const bool cached = cache_ != nullptr && store_ != nullptr;
-  sat::CnfSnapshot::Cursor cursor;
-  if (cached) {
-    cursor = sat::CnfSnapshot::Cursor{store_->num_vars(), store_->num_clauses()};
-    if (cache_->lookup_unsat(store_->id(), cursor, assumptions, core_out)) {
-      ++cache_hits_;
-      result.status = CheckStatus::Holds;
-      return result;
-    }
-    ++cache_misses_;
-  }
 
   const sat::SolverStats before = solver_.stats();
   const auto t0 = std::chrono::steady_clock::now();
@@ -67,10 +50,8 @@ CheckResult Engine::check_assumptions(const std::vector<encode::Lit>& assumption
                   : sat_result ? CheckStatus::Violated
                                : CheckStatus::Holds;
 
-  if (result.status == CheckStatus::Holds) {
-    const std::vector<encode::Lit>& core = solver_.conflict_assumptions();
-    if (cached) cache_->insert_unsat(store_->id(), cursor, assumptions, core);
-    if (core_out != nullptr) *core_out = core;
+  if (result.status == CheckStatus::Holds && core_out != nullptr) {
+    *core_out = solver_.conflict_assumptions();
   }
   return result;
 }

@@ -10,8 +10,6 @@
 
 #include "encode/miter.h"
 #include "ipc/property.h"
-#include "sat/snapshot.h"
-#include "sat/verdict_cache.h"
 
 namespace upec::ipc {
 
@@ -42,40 +40,19 @@ class Engine {
 public:
   explicit Engine(sat::Solver& solver) : solver_(solver) {}
 
-  // See make_violation_any (kept as a member for call-site convenience).
-  encode::Lit violation_any(encode::CnfBuilder& cnf, const std::vector<encode::Lit>& disjuncts);
-
   CheckResult check(const BoundedProperty& property);
 
-  // Pure assumption-based query (the incremental-sweep path: candidate
-  // selection is entirely in the assumption set, nothing is encoded per
-  // check). On Holds, `core_out` (if non-null) receives the refuting subset
-  // of the assumptions (see Solver::conflict_assumptions) — on a
-  // verdict-cache hit it is the stored core of the original refutation.
+  // Pure assumption-based query (the sweep path: candidate selection is
+  // entirely in the assumption set, nothing is encoded per check). On Holds,
+  // `core_out` (if non-null) receives the refuting subset of the assumptions
+  // (see Solver::conflict_assumptions).
   CheckResult check_assumptions(const std::vector<encode::Lit>& assumptions,
                                 std::vector<encode::Lit>* core_out = nullptr);
-
-  // Consult `cache` before each solve, keyed on `store`'s current cursor.
-  // UNSAT answers are inserted back. Both must outlive the engine; pass
-  // nullptrs to disable. Sound because the main solver is tee-fed from the
-  // same emission stream the store records, so its clause database *is* the
-  // store prefix at the cursor taken at solve time.
-  void set_verdict_cache(sat::VerdictCache* cache, const sat::CnfStore* store) {
-    cache_ = cache;
-    store_ = store;
-  }
-
-  std::uint64_t cache_hits() const { return cache_hits_; }
-  std::uint64_t cache_misses() const { return cache_misses_; }
 
   sat::Solver& solver() { return solver_; }
 
 private:
   sat::Solver& solver_;
-  sat::VerdictCache* cache_ = nullptr;
-  const sat::CnfStore* store_ = nullptr;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
 };
 
 } // namespace upec::ipc

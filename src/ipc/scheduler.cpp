@@ -37,19 +37,13 @@ CheckScheduler::CheckScheduler(sat::CnfStore& store, SchedulerOptions options)
       po.external = external;
       po.pipe = pipe;
       po.supervise = options_.supervise;
-      auto p = std::make_unique<sat::PortfolioBackend>(po, channel_.get(), w * stride);
-      p->set_verdict_cache(options_.verdict_cache);
-      backend = std::move(p);
+      backend = std::make_unique<sat::PortfolioBackend>(po, channel_.get(), w * stride);
     } else if (external) {
-      auto s = std::make_unique<sat::SupervisedBackend>(pipe, options_.supervise,
-                                                        options_.conflict_budget, channel_.get(),
-                                                        w * stride);
-      s->set_verdict_cache(options_.verdict_cache);
-      backend = std::move(s);
+      backend = std::make_unique<sat::SupervisedBackend>(pipe, options_.supervise,
+                                                         options_.conflict_budget, channel_.get(),
+                                                         w * stride);
     } else {
-      auto b = std::make_unique<sat::InprocBackend>(options_.conflict_budget, channel_.get(), w);
-      b->set_verdict_cache(options_.verdict_cache);
-      backend = std::move(b);
+      backend = std::make_unique<sat::InprocBackend>(options_.conflict_budget, channel_.get(), w);
     }
     if (options_.deadline) backend->set_deadline(*options_.deadline);
     if (options_.progress_every != 0 && options_.progress) {
@@ -60,10 +54,10 @@ CheckScheduler::CheckScheduler(sat::CnfStore& store, SchedulerOptions options)
     backends_.push_back(std::move(backend));
   }
 
-  // Preprocessing needs the frozen-variable contract (see SchedulerOptions)
-  // and only pays off on the incremental path, where one snapshot serves the
-  // whole sweep and generations persist across iterations.
-  if (options_.preprocess && options_.incremental && options_.frozen_vars) {
+  // Preprocessing needs the frozen-variable contract (see SchedulerOptions).
+  // It pays off because one snapshot serves the whole sweep and generations
+  // persist across iterations.
+  if (options_.preprocess && options_.frozen_vars) {
     simplifier_ = std::make_unique<sat::Simplifier>(options_.simplify);
   }
 }
@@ -79,13 +73,6 @@ std::vector<std::vector<sat::SolverStats>> CheckScheduler::worker_member_stats()
   std::vector<std::vector<sat::SolverStats>> out;
   out.reserve(backends_.size());
   for (const auto& b : backends_) out.push_back(b->member_stats());
-  return out;
-}
-
-std::vector<std::uint64_t> CheckScheduler::worker_cache_hits() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(backends_.size());
-  for (const auto& b : backends_) out.push_back(b->cache_hits());
   return out;
 }
 
@@ -114,39 +101,6 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
                                   const std::vector<encode::Lit>& assumptions,
                                   const std::vector<rtlir::StateVarId>& candidates,
                                   unsigned frame) {
-  return options_.incremental ? sweep_incremental(miter, assumptions, candidates, frame)
-                              : sweep_legacy(miter, assumptions, candidates, frame);
-}
-
-void CheckScheduler::finalize(SweepResult& result, const std::vector<sat::SolverStats>& before,
-                              const std::vector<std::uint64_t>& cache_hits_before,
-                              const std::vector<std::uint64_t>& cache_misses_before, bool unknown,
-                              std::chrono::steady_clock::time_point t0) const {
-  const unsigned W = workers();
-  std::sort(result.differing.begin(), result.differing.end());
-  result.imported_per_worker.resize(W, 0);
-  for (unsigned w = 0; w < W; ++w) {
-    const sat::SolverStats delta = backends_[w]->stats() - before[w];
-    result.conflicts += delta.conflicts;
-    result.decisions += delta.decisions;
-    result.propagations += delta.propagations;
-    result.exported += delta.exported_clauses;
-    result.imported += delta.imported_clauses;
-    result.imported_per_worker[w] = delta.imported_clauses;
-    result.cache_hits += backends_[w]->cache_hits() - cache_hits_before[w];
-    result.cache_misses += backends_[w]->cache_misses() - cache_misses_before[w];
-    result.retained_learnts += backends_[w]->live_learnts();
-  }
-  result.status = unknown ? CheckStatus::Unknown
-                  : result.differing.empty() ? CheckStatus::Holds
-                                             : CheckStatus::Violated;
-  result.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-SweepResult CheckScheduler::sweep_incremental(encode::Miter& miter,
-                                              const std::vector<encode::Lit>& assumptions,
-                                              const std::vector<rtlir::StateVarId>& candidates,
-                                              unsigned frame) {
   util::trace::Span span("scheduler.sweep", "ipc");
   span.arg("candidates", static_cast<std::uint64_t>(candidates.size()));
   span.arg("workers", std::uint64_t{workers()});
@@ -155,13 +109,8 @@ SweepResult CheckScheduler::sweep_incremental(encode::Miter& miter,
   const auto t0 = std::chrono::steady_clock::now();
   const unsigned W = workers();
   std::vector<sat::SolverStats> before;
-  std::vector<std::uint64_t> ch_before, cm_before;
   before.reserve(W);
-  for (const auto& b : backends_) {
-    before.push_back(b->stats());
-    ch_before.push_back(b->cache_hits());
-    cm_before.push_back(b->cache_misses());
-  }
+  for (const auto& b : backends_) before.push_back(b->stats());
 
   // Single batch registration on the calling thread: one CNF emission
   // regardless of worker count, so the clause stream (and every snapshot
@@ -265,123 +214,22 @@ SweepResult CheckScheduler::sweep_incremental(encode::Miter& miter,
     if (chunk_timeout[w]) result.timed_out = true;
     result.differing.insert(result.differing.end(), differing[w].begin(), differing[w].end());
     for (auto& g : groups[w]) result.unsat_groups.push_back(std::move(g));
-  }
 
-  finalize(result, before, ch_before, cm_before, unknown, t0);
+    const sat::SolverStats delta = backends_[w]->stats() - before[w];
+    result.conflicts += delta.conflicts;
+    result.decisions += delta.decisions;
+    result.propagations += delta.propagations;
+    result.exported += delta.exported_clauses;
+    result.imported += delta.imported_clauses;
+    result.imported_per_worker.push_back(delta.imported_clauses);
+    result.retained_learnts += backends_[w]->live_learnts();
+  }
+  std::sort(result.differing.begin(), result.differing.end());
+  result.status = unknown                    ? CheckStatus::Unknown
+                  : result.differing.empty() ? CheckStatus::Holds
+                                             : CheckStatus::Violated;
+  result.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (simplifier_ != nullptr) result.simplify = simplifier_->stats();
-  return result;
-}
-
-SweepResult CheckScheduler::sweep_legacy(encode::Miter& miter,
-                                         const std::vector<encode::Lit>& assumptions,
-                                         const std::vector<rtlir::StateVarId>& candidates,
-                                         unsigned frame) {
-  util::trace::Span span("scheduler.sweep_legacy", "ipc");
-  span.arg("candidates", static_cast<std::uint64_t>(candidates.size()));
-  span.arg("workers", std::uint64_t{workers()});
-  SweepResult result;
-  const auto t0 = std::chrono::steady_clock::now();
-  const unsigned W = workers();
-  std::vector<sat::SolverStats> before;
-  std::vector<std::uint64_t> ch_before, cm_before;
-  before.reserve(W);
-  for (const auto& b : backends_) {
-    before.push_back(b->stats());
-    ch_before.push_back(b->cache_hits());
-    cm_before.push_back(b->cache_misses());
-  }
-
-  // Round-robin partition: chunk w owns every W-th candidate. Candidates
-  // arrive in ascending StateVarId order (StateSet::to_vector), so chunks
-  // stay balanced as S shrinks across iterations.
-  std::vector<std::vector<rtlir::StateVarId>> remaining(W);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    remaining[i % W].push_back(candidates[i]);
-  }
-  std::vector<char> active(W, 0);
-  for (unsigned w = 0; w < W; ++w) active[w] = remaining[w].empty() ? 0 : 1;
-
-  bool unknown = false;
-  auto any_active = [&] {
-    return std::any_of(active.begin(), active.end(), [](char a) { return a != 0; });
-  };
-
-  while (!unknown && any_active()) {
-    util::trace::Span round_span("scheduler.round", "ipc");
-    round_span.arg("round", std::uint64_t{result.rounds});
-    ++result.rounds;
-    // Single-threaded encoding window: per-chunk activation literals for the
-    // disjunction of the chunk's still-unresolved diff literals.
-    std::vector<encode::Lit> act(W, encode::Lit::undef());
-    for (unsigned w = 0; w < W; ++w) {
-      if (!active[w]) continue;
-      std::vector<encode::Lit> diffs;
-      diffs.reserve(remaining[w].size());
-      for (rtlir::StateVarId sv : remaining[w]) diffs.push_back(miter.diff_literal(sv, frame));
-      act[w] = make_violation_any(miter.cnf(), diffs);
-    }
-    const sat::CnfSnapshot snap = store_.snapshot();
-
-    // Fan out: worker w hydrates to the snapshot and solves its chunk.
-    std::vector<sat::SolveStatus> status(W, sat::SolveStatus::Unsat);
-    std::vector<std::function<void()>> tasks;
-    for (unsigned w = 0; w < W; ++w) {
-      if (!active[w]) continue;
-      ++result.solve_calls;
-      tasks.push_back([this, w, &snap, &assumptions, &act, &status] {
-        backends_[w]->sync(snap);
-        std::vector<encode::Lit> as = assumptions;
-        as.push_back(act[w]);
-        status[w] = backends_[w]->solve(as);
-      });
-    }
-    pool_.run_all(std::move(tasks));
-
-    // Deterministic merge, ascending worker index, after the barrier.
-    for (unsigned w = 0; w < W; ++w) {
-      if (!active[w]) continue;
-      if (status[w] == sat::SolveStatus::Unknown) {
-        unknown = true;
-        if (backends_[w]->last_timed_out()) result.timed_out = true;
-        continue;
-      }
-      if (status[w] == sat::SolveStatus::Unsat) {
-        active[w] = 0;  // every variable left in this chunk is proven unable to differ
-        continue;
-      }
-      std::vector<rtlir::StateVarId> newly;
-      for (rtlir::StateVarId sv : remaining[w]) {
-        if (miter.differs_in_model(*backends_[w], sv, frame)) newly.push_back(sv);
-      }
-      if (newly.empty()) {
-        // Defensive: a satisfiable chunk whose model shows no difference means
-        // the diff literals and the model disagree; treat as unknown.
-        unknown = true;
-        active[w] = 0;
-        continue;
-      }
-      result.differing.insert(result.differing.end(), newly.begin(), newly.end());
-      std::erase_if(remaining[w], [&](rtlir::StateVarId sv) {
-        return std::find(newly.begin(), newly.end(), sv) != newly.end();
-      });
-      if (remaining[w].empty()) active[w] = 0;
-    }
-
-    // Retire this round's activation literals: each guards exactly one
-    // batch's disjunction, so pin ~act as a root unit in the shared store
-    // (and, through the tee, the main solver). BCP then treats the retired
-    // disjunction clause as satisfied everywhere it was hydrated instead of
-    // re-scanning a dead clause forever; store growth per round stays O(W).
-    // Safe here: workers are idle after the barrier, and their models were
-    // already harvested above (model reads never touch the trail).
-    for (unsigned w = 0; w < W; ++w) {
-      if (act[w] != encode::Lit::undef()) {
-        miter.cnf().add_clause(std::vector<encode::Lit>{~act[w]});
-      }
-    }
-  }
-
-  finalize(result, before, ch_before, cm_before, unknown, t0);
   return result;
 }
 

@@ -10,30 +10,20 @@
 // entirely on its own solver, keeping learned clauses across solves and
 // iterations.
 //
-// Two sweep disciplines:
-//
-//  * Incremental (default): every candidate has a persistent activation
-//    literal registered once in the miter (Miter::register_candidates), and
-//    the worker scans its chunk one candidate per solve, assuming that
-//    candidate's activation literal true — the query is exactly "diff(sv)
-//    satisfiable". A model retires every still-unresolved chunk member it
-//    proves differing (same saturation harvest as before); an UNSAT answer
-//    retires the candidate with a per-candidate assumption core, surfaced in
-//    SweepResult::unsat_groups for frontier pruning. The store never grows
-//    during a sweep and one snapshot serves the whole batch. Nothing a
-//    worker learned is ever invalidated: when the store grows between
-//    sweeps (Alg. 2 unrolling) and preprocessing hands the workers a new
-//    simplified generation, each worker keeps its learnt clauses, activity
-//    and phases across the switch (sat/backend.h, InprocBackend::sync). A
-//    shared VerdictCache short-circuits repeated UNSAT queries outright.
-//    Per-candidate cores mention only the eq assumptions that one
-//    refutation needs, so they survive frontier shrinking far better than a
-//    whole-chunk disjunction core would.
-//
-//  * Legacy (SchedulerOptions::incremental = false): each round encodes a
-//    fresh activation literal guarding the chunk's diff disjunction, solves,
-//    harvests, shrinks, and retires the literal with a root unit afterwards.
-//    Kept as the re-encode baseline for bench_sweep_incremental.
+// Sweep discipline: every candidate has a persistent activation literal
+// registered once in the miter (Miter::register_candidates), and the worker
+// scans its chunk one candidate per solve, assuming that candidate's
+// activation literal true — the query is exactly "diff(sv) satisfiable". A
+// model retires every still-unresolved chunk member it proves differing; an
+// UNSAT answer retires the candidate with a per-candidate assumption core,
+// surfaced in SweepResult::unsat_groups for frontier pruning. Per-candidate
+// cores mention only the eq assumptions that one refutation needs, so they
+// survive frontier shrinking far better than a whole-chunk disjunction core
+// would. The store never grows during a sweep and one snapshot serves the
+// whole batch. Nothing a worker learned is ever invalidated: when the store
+// grows between sweeps (Alg. 2 unrolling) and preprocessing hands the workers
+// a new simplified generation, each worker keeps its learnt clauses, activity
+// and phases across the switch (sat/backend.h, InprocBackend::sync).
 //
 // Determinism: the set a chunk reports is {sv in chunk : diff(sv) satisfiable},
 // which is a purely semantic property — independent of which models the
@@ -79,24 +69,19 @@ struct SweepResult {
   std::uint64_t imported = 0;                   // summed over workers
   std::vector<std::uint64_t> imported_per_worker;  // one entry per worker
   std::size_t solve_calls = 0;
-  unsigned rounds = 0;  // barrier rounds (legacy path; the incremental batch has one barrier)
 
-  // Refutations (incremental path only): one entry per candidate proven
-  // unable to differ, carrying the assumption core of that refutation. The
-  // upec layer mines these for UNSAT-core frontier pruning (see
-  // upec/incremental.h).
+  // Refutations: one entry per candidate proven unable to differ, carrying
+  // the assumption core of that refutation. The upec layer mines these for
+  // UNSAT-core frontier pruning (see upec/incremental.h).
   struct UnsatGroup {
     std::vector<rtlir::StateVarId> enabled;  // candidates enabled in the refuted query
     std::vector<sat::Lit> core;              // refuting subset of the assumptions
   };
   std::vector<UnsatGroup> unsat_groups;
 
-  // Verdict-cache traffic during this sweep (zero with the cache off) and
-  // the workers' combined live learnt-clause databases at sweep end — the
-  // clauses the incremental path retains across rounds, iterations and
-  // Alg. 2 steps (new preprocessing generations included).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
+  // The workers' combined live learnt-clause databases at sweep end — the
+  // clauses they retain across sweeps, iterations and Alg. 2 steps (new
+  // preprocessing generations included).
   std::size_t retained_learnts = 0;
 
   // An Unknown status was (at least in part) a wall-clock hit: some worker's
@@ -113,16 +98,6 @@ struct SchedulerOptions {
   std::uint64_t conflict_budget = 0;  // per solve call; 0 = unlimited
   // Workers exchange low-LBD learnt clauses through a ClauseChannel (PR 3).
   bool share_clauses = true;
-  // Persistent-activation sweeps: candidates are registered once in the
-  // miter and each solve activates one candidate purely through assumptions,
-  // so the store never grows mid-sweep and workers keep their learnt
-  // databases valid across solves *and* iterations. Off = legacy per-round
-  // activation literals with root-unit retirement (kept for the A/B
-  // benchmark).
-  bool incremental = true;
-  // Shared verdict cache consulted by every worker before solving (nullptr
-  // disables). Must outlive the scheduler.
-  sat::VerdictCache* verdict_cache = nullptr;
   // Portfolio racing: each worker becomes `portfolio` diversified in-proc
   // solvers racing every query, first definitive answer wins, losers are
   // cancelled (sat/portfolio.h). 1 (default) = plain single-solver workers.
@@ -140,15 +115,13 @@ struct SchedulerOptions {
   // Absolute wall-clock deadline for the whole run; backends answer Unknown
   // (timed_out) past it.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  // Snapshot preprocessing (sat/simplify.h) for the incremental sweep path:
-  // the sweep snapshot is simplified once on the calling thread — subsumption,
-  // bounded variable elimination, failed-literal probing — and every worker
-  // hydrates from the simplified generation instead of the raw store. Takes
-  // effect only when `frozen_vars` is installed: the provider names every
-  // variable the sweeps will assume or read back from worker models (the
-  // Simplifier soundness contract), so preprocessing without one would be
-  // unsound and is treated as disabled. The legacy path grows the store every
-  // round and is never preprocessed.
+  // Snapshot preprocessing (sat/simplify.h): the sweep snapshot is simplified
+  // once on the calling thread — subsumption, bounded variable elimination,
+  // failed-literal probing — and every worker hydrates from the simplified
+  // generation instead of the raw store. Takes effect only when `frozen_vars`
+  // is installed: the provider names every variable the sweeps will assume or
+  // read back from worker models (the Simplifier soundness contract), so
+  // preprocessing without one would be unsound and is treated as disabled.
   bool preprocess = true;
   sat::SimplifyOptions simplify;
   // Frozen-variable provider, called on the calling thread before each
@@ -193,7 +166,6 @@ public:
   // portfolio participant, summing exactly to worker_stats()[w]; empty for
   // single-solver workers (see SolverBackend::member_stats).
   std::vector<std::vector<sat::SolverStats>> worker_member_stats() const;
-  std::vector<std::uint64_t> worker_cache_hits() const;
   std::vector<std::size_t> worker_live_learnts() const;
   std::vector<std::size_t> worker_arena_bytes() const;
   // Per-worker robustness counters (all-zero entries for plain in-proc
@@ -203,7 +175,7 @@ public:
   // The worker backends (tests inspect portfolio/supervised internals).
   sat::SolverBackend& backend(unsigned w) { return *backends_[w]; }
 
-  // True iff snapshot preprocessing is active for incremental sweeps.
+  // True iff snapshot preprocessing is active.
   bool preprocessing() const { return simplifier_ != nullptr; }
   // Cumulative preprocessing counters (all zero when preprocessing is off).
   sat::SimplifyStats simplify_stats() const {
@@ -211,16 +183,6 @@ public:
   }
 
 private:
-  SweepResult sweep_incremental(encode::Miter& miter,
-                                const std::vector<encode::Lit>& assumptions,
-                                const std::vector<rtlir::StateVarId>& candidates, unsigned frame);
-  SweepResult sweep_legacy(encode::Miter& miter, const std::vector<encode::Lit>& assumptions,
-                           const std::vector<rtlir::StateVarId>& candidates, unsigned frame);
-  void finalize(SweepResult& result, const std::vector<sat::SolverStats>& before,
-                const std::vector<std::uint64_t>& cache_hits_before,
-                const std::vector<std::uint64_t>& cache_misses_before, bool unknown,
-                std::chrono::steady_clock::time_point t0) const;
-
   sat::CnfStore& store_;
   SchedulerOptions options_;
   util::ThreadPool pool_;

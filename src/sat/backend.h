@@ -14,7 +14,6 @@
 #include "sat/share.h"
 #include "sat/snapshot.h"
 #include "sat/solver.h"
-#include "sat/verdict_cache.h"
 #include "util/trace.h"
 
 namespace upec::sat {
@@ -76,17 +75,13 @@ public:
 
   // After solve() returned Unsat: the subset of the assumptions responsible
   // (see Solver::conflict_assumptions). Empty when the formula itself is
-  // UNSAT. On a verdict-cache hit this is the stored core of the original
-  // refutation, so callers never observe a difference between a cached and a
-  // fresh UNSAT answer.
+  // UNSAT.
   virtual const std::vector<Lit>& unsat_core() const = 0;
 
   virtual const SolverStats& stats() const = 0;
 
-  // Verdict-cache traffic and learnt-database retention, for the per-worker
-  // report breakdowns. Backends without a cache report zeros.
-  virtual std::uint64_t cache_hits() const { return 0; }
-  virtual std::uint64_t cache_misses() const { return 0; }
+  // Live learnt clauses, for the per-worker report breakdowns. Zero for
+  // backends without an in-proc solver.
   virtual std::size_t live_learnts() const { return 0; }
   // Bytes reserved for clause storage by the in-proc solvers this backend
   // owns (see Solver::arena_bytes). Zero for backends without one.
@@ -168,10 +163,6 @@ public:
     snap.load_into(solver_, cursor_);
   }
 
-  // Consult `cache` (shared with other backends and the main check path;
-  // may be nullptr) before every solve. Must outlive the backend.
-  void set_verdict_cache(VerdictCache* cache) { cache_ = cache; }
-
   SolveStatus solve(const std::vector<Lit>& assumptions) override {
     util::trace::Span span("solve.inproc", "solve");
     const std::uint64_t conflicts_before = solver_.stats().conflicts;
@@ -185,8 +176,6 @@ public:
 
   bool model_value(Lit l) const override { return solver_.model_value(l); }
   const SolverStats& stats() const override { return solver_.stats(); }
-  std::uint64_t cache_hits() const override { return cache_hits_; }
-  std::uint64_t cache_misses() const override { return cache_misses_; }
   std::size_t live_learnts() const override { return solver_.num_learnts(); }
   std::size_t arena_bytes() const override { return solver_.arena_bytes(); }
 
@@ -205,17 +194,9 @@ private:
     core_.clear();
     last_timed_out_ = false;
     if (!solver_.okay()) return SolveStatus::Unsat; // formula UNSAT outright: empty core
-    if (cache_ != nullptr) {
-      if (cache_->lookup_unsat(store_id_, cursor_, assumptions, &core_)) {
-        ++cache_hits_;
-        return SolveStatus::Unsat;
-      }
-      ++cache_misses_;
-    }
     try {
       if (solver_.solve(assumptions)) return SolveStatus::Sat;
       core_ = solver_.conflict_assumptions();
-      if (cache_ != nullptr) cache_->insert_unsat(store_id_, cursor_, assumptions, core_);
       return SolveStatus::Unsat;
     } catch (const SolverInterrupted& e) {
       last_timed_out_ = e.reason == SolverInterrupted::Reason::Deadline;
@@ -229,10 +210,7 @@ private:
   ClauseChannel* channel_ = nullptr;
   unsigned worker_id_ = 0;
   std::size_t channel_cursor_ = 0;
-  VerdictCache* cache_ = nullptr;
   std::vector<Lit> core_;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
   bool last_timed_out_ = false;
 };
 

@@ -61,11 +61,6 @@ void PortfolioBackend::clear_deadline() {
   for (SolverBackend* b : all_) b->clear_deadline();
 }
 
-void PortfolioBackend::set_verdict_cache(VerdictCache* cache) {
-  for (auto& m : members_) m->set_verdict_cache(cache);
-  if (external_) external_->set_verdict_cache(cache);
-}
-
 SolveStatus PortfolioBackend::solve(const std::vector<Lit>& assumptions) {
   util::trace::Span span("portfolio.race", "portfolio");
   span.arg("members", static_cast<std::uint64_t>(all_.size()));
@@ -131,18 +126,6 @@ const SolverStats& PortfolioBackend::stats() const {
   stats_agg_ = {};
   for (const SolverBackend* b : all_) stats_agg_ += b->stats();
   return stats_agg_;
-}
-
-std::uint64_t PortfolioBackend::cache_hits() const {
-  std::uint64_t n = 0;
-  for (const SolverBackend* b : all_) n += b->cache_hits();
-  return n;
-}
-
-std::uint64_t PortfolioBackend::cache_misses() const {
-  std::uint64_t n = 0;
-  for (const SolverBackend* b : all_) n += b->cache_misses();
-  return n;
 }
 
 std::size_t PortfolioBackend::live_learnts() const {

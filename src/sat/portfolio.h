@@ -58,8 +58,6 @@ public:
   bool model_value(Lit l) const override;
   const SolverStats& stats() const override;  // summed over members
 
-  std::uint64_t cache_hits() const override;
-  std::uint64_t cache_misses() const override;
   std::size_t live_learnts() const override;
   std::size_t arena_bytes() const override;
 
@@ -73,8 +71,6 @@ public:
   // Forwards the heartbeat to every in-proc member. The external child has
   // no hook; its lifecycle shows up in the trace instead.
   void set_progress(ProgressHook hook, std::uint64_t every_conflicts) override;
-
-  void set_verdict_cache(VerdictCache* cache);
 
   unsigned member_count() const { return static_cast<unsigned>(all_.size()); }
   // Which member answered each won solve (diversity diagnostics in bench).

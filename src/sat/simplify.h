@@ -49,9 +49,9 @@
 // this is what makes "simplify once per iteration" one real simplification
 // per Alg. 1 run (the store freezes after iteration 0 and the frontier only
 // shrinks). Each generation is materialized into a fresh private CnfStore,
-// so downstream consumers see a new store id: the verdict cache and DIMACS
-// caches invalidate, and in-proc backends switch generations while keeping
-// their learnt clauses (sat/backend.h).
+// so downstream consumers see a new store id: DIMACS caches invalidate, and
+// in-proc backends switch generations while keeping their learnt clauses
+// (sat/backend.h).
 //
 // Determinism: all effort budgets are operation counters, never wall clock,
 // and every pass iterates in a fixed order — the output formula is a pure

@@ -408,7 +408,7 @@ bool Solver::lit_redundant(Lit p, std::uint32_t abstract_levels) {
 // the walk recurses toward the decisions that fed it. The seen_ flags make
 // the recursion a single backwards trail scan — each variable's reason is
 // walked at most once — and the result is deduplicated and sorted so callers
-// (verdict cache, core pruning) can use it as a canonical set.
+// (core pruning) can use it as a canonical set.
 void Solver::analyze_final(Lit p) {
   conflict_.clear();
   conflict_.push_back(~p);

@@ -11,9 +11,9 @@
 //      degradation bench the external endpoint for the rest of the run —
 //      a solver that keeps crashing is a tax on every query, not a resource.
 //   4. Degrade. Whatever the external path could not answer goes to an
-//      embedded InprocBackend, which shares the verification run's verdict
-//      cache and clause channel like any ordinary worker. The caller sees a
-//      slower answer, never a missing one.
+//      embedded InprocBackend, which shares the verification run's clause
+//      channel like any ordinary worker. The caller sees a slower answer,
+//      never a missing one.
 //
 // The net contract the fault suites pin: a misbehaving external solver costs
 // wall-clock time, never a verdict, never a wrong verdict, never a zombie.
@@ -51,8 +51,6 @@ public:
   bool model_value(Lit l) const override;
   const SolverStats& stats() const override;
 
-  std::uint64_t cache_hits() const override { return fallback_.cache_hits(); }
-  std::uint64_t cache_misses() const override { return fallback_.cache_misses(); }
   std::size_t live_learnts() const override { return fallback_.live_learnts(); }
   std::size_t arena_bytes() const override { return fallback_.arena_bytes(); }
 
@@ -60,10 +58,6 @@ public:
   void clear_deadline() override;
   bool last_timed_out() const override { return last_timed_out_; }
   BackendHealth health() const override { return health_; }
-
-  // Shared verdict cache, routed to the in-proc fallback (external children
-  // are stateless and see every query fresh).
-  void set_verdict_cache(VerdictCache* cache) { fallback_.set_verdict_cache(cache); }
 
   // Portfolio racing: cancels both the in-flight child I/O and the fallback.
   void set_cancel_flag(const std::atomic<bool>* flag);

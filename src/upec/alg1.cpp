@@ -37,7 +37,6 @@ void collect_solver_usage(const UpecContext& ctx, SolverUsage& usage) {
   if (ctx.scheduler) {
     const std::vector<sat::SolverStats> worker_stats = ctx.scheduler->worker_stats();
     usage.per_worker_members = ctx.scheduler->worker_member_stats();
-    usage.per_worker_cache_hits = ctx.scheduler->worker_cache_hits();
     usage.per_worker_health = ctx.scheduler->worker_health();
     const std::vector<std::size_t> live = ctx.scheduler->worker_live_learnts();
     const std::vector<std::size_t> arena = ctx.scheduler->worker_arena_bytes();
@@ -73,13 +72,7 @@ void collect_solver_usage(const UpecContext& ctx, SolverUsage& usage) {
   usage.total = sat::solver_stats_from_metrics(total_m);
   usage.metrics.merge_prefixed("sat.solver.total.", total_m);
 
-  // The cache is shared, so its global counters already cover the main
-  // solver's and every worker's lookups.
-  usage.cache_hits = ctx.verdict_cache.hits();
-  usage.cache_misses = ctx.verdict_cache.misses();
   usage.pruned_candidates = ctx.pruner.total_pruned();
-  usage.metrics.add_counter("upec.cache.hits", usage.cache_hits);
-  usage.metrics.add_counter("upec.cache.misses", usage.cache_misses);
   usage.metrics.add_counter("upec.sweep.pruned_candidates", usage.pruned_candidates);
   usage.metrics.set_gauge("upec.sweep.retained_learnts", usage.retained_learnts);
   usage.metrics.add_counter("sat.channel.exported", usage.total.exported_clauses);
@@ -112,7 +105,7 @@ Alg1Result run_alg1(UpecContext& ctx, const Alg1Options& options) {
     for (rtlir::StateVarId sv : S.to_vector()) {
       assumptions.push_back(ctx.miter.eq_assumption(sv));
     }
-    SweepOutcome out = sweep_frame(ctx, "UPEC-SSC", assumptions, S, 1, options.saturate_cex);
+    SweepOutcome out = sweep_frame(ctx, assumptions, S, 1, options.saturate_cex);
 
     log.seconds = out.seconds;
     log.conflicts = out.conflicts;
@@ -121,16 +114,14 @@ Alg1Result run_alg1(UpecContext& ctx, const Alg1Options& options) {
     log.pers_hits = out.pers_hits.size();
     log.removed = out.s_cex;
     log.pruned = out.pruned;
-    log.cache_hits = out.cache_hits;
-    log.cache_misses = out.cache_misses;
     log.timed_out = out.timed_out;
     result.total_seconds += out.seconds;
 
     if (!out.pers_hits.empty()) {
       // Victim data reaches persistent, attacker-accessible state.
       if (options.extract_waveform) {
-        result.waveform = extract_pers_waveform(ctx, "UPEC-SSC", assumptions, out, 1, log,
-                                                result.total_seconds);
+        result.waveform =
+            extract_pers_waveform(ctx, assumptions, out, 1, log, result.total_seconds);
       }
       result.iterations.push_back(std::move(log));
       result.verdict = Verdict::Vulnerable;

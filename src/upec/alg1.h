@@ -38,12 +38,9 @@ struct IterationLog {
   std::uint64_t conflicts = 0;
   ipc::CheckStatus status = ipc::CheckStatus::Unknown;
   std::vector<rtlir::StateVarId> removed;
-  // Incremental-sweep work avoidance this iteration (zero in legacy mode):
-  // candidates skipped because a recorded UNSAT core still refutes them, and
-  // verdict-cache traffic of the iteration's solves.
+  // Candidates skipped this iteration because a recorded UNSAT core still
+  // refutes them.
   std::size_t pruned = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   // The iteration's Unknown status came from a wall-clock deadline hit
   // (VerifyOptions::deadline_ms) rather than conflict-budget exhaustion.
   bool timed_out = false;
@@ -62,16 +59,11 @@ struct SolverUsage {
   // Worker w's portfolio-member breakdown (parallel to per_worker; empty
   // inner vector = single-solver worker). Members sum to per_worker[w].
   std::vector<std::vector<sat::SolverStats>> per_worker_members;
-  // Incremental-sweep counters (all zero with the features off): shared
-  // verdict-cache traffic (main solver + workers), candidates pruned via
-  // recorded UNSAT cores, and the learnt clauses still live in the solvers
-  // at collection time — the databases the incremental mode carries across
-  // rounds and iterations.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
+  // Sweep work avoidance: candidates pruned via recorded UNSAT cores, and
+  // the learnt clauses still live in the solvers at collection time — the
+  // databases the sweeps carry across queries and iterations.
   std::uint64_t pruned_candidates = 0;
   std::size_t retained_learnts = 0;
-  std::vector<std::uint64_t> per_worker_cache_hits;  // parallel to per_worker
   // Per-worker robustness counters (parallel to per_worker; all-zero entries
   // for plain in-proc workers, populated under portfolio/external backends).
   std::vector<sat::BackendHealth> per_worker_health;

@@ -35,8 +35,7 @@ Alg2Result run_alg2(UpecContext& ctx, const Alg2Options& options) {
     for (rtlir::StateVarId sv : s0_members) {
       assumptions.push_back(ctx.miter.eq_assumption(sv));
     }
-    SweepOutcome out =
-        sweep_frame(ctx, "UPEC-SSC-unrolled", assumptions, S[k], k, options.saturate_cex);
+    SweepOutcome out = sweep_frame(ctx, assumptions, S[k], k, options.saturate_cex);
 
     step.iteration.seconds = out.seconds;
     step.iteration.conflicts = out.conflicts;
@@ -45,15 +44,13 @@ Alg2Result run_alg2(UpecContext& ctx, const Alg2Options& options) {
     step.iteration.pers_hits = out.pers_hits.size();
     step.iteration.removed = out.s_cex;
     step.iteration.pruned = out.pruned;
-    step.iteration.cache_hits = out.cache_hits;
-    step.iteration.cache_misses = out.cache_misses;
     step.iteration.timed_out = out.timed_out;
     result.total_seconds += out.seconds;
 
     if (!out.pers_hits.empty()) {
       if (options.extract_waveform) {
-        result.waveform = extract_pers_waveform(ctx, "UPEC-SSC-unrolled", assumptions, out, k,
-                                                step.iteration, result.total_seconds);
+        result.waveform = extract_pers_waveform(ctx, assumptions, out, k, step.iteration,
+                                                result.total_seconds);
       }
       result.steps.push_back(std::move(step));
       result.verdict = Verdict::Vulnerable;

@@ -52,8 +52,6 @@ UpecContext::UpecContext(const soc::Soc& s, VerifyOptions opts)
     so.threads = options.threads;
     so.conflict_budget = options.conflict_budget;
     so.share_clauses = options.share_clauses;
-    so.incremental = options.incremental_sweeps;
-    so.verdict_cache = options.verdict_cache ? &verdict_cache : nullptr;
     so.portfolio = options.portfolio;
     so.portfolio_seed = options.portfolio_seed;
     so.external_argv = options.external_solver;
@@ -82,7 +80,6 @@ UpecContext::UpecContext(const soc::Soc& s, VerifyOptions opts)
         },
         options.progress_conflicts);
   }
-  if (options.verdict_cache) engine.set_verdict_cache(&verdict_cache, &store);
 
   StateSet base = pers.s_pers();
   for (rtlir::StateVarId sv : base.to_vector()) {

@@ -57,20 +57,6 @@ struct VerifyOptions {
   // Optional restriction of S_pers (e.g. "only the HWPE and public RAM" to
   // steer Alg. 1 toward a specific attack scenario in the case study).
   std::function<bool(rtlir::StateVarId)> s_pers_filter;
-  // Cross-iteration incremental sweeps: candidates get persistent activation
-  // literals encoded once (Miter::register_candidates) and every sweep round
-  // selects its subset purely through assumptions, so nothing is re-encoded
-  // per round and solvers keep their learnt databases valid across rounds
-  // and iterations; final refutation cores additionally prune candidates
-  // from later frontiers (upec/incremental.h). Verdicts and frontiers are
-  // bit-identical either way (test_determinism / test_incremental); off is
-  // the re-encode baseline for bench_sweep_incremental.
-  bool incremental_sweeps = true;
-  // Cache UNSAT verdicts (with their assumption cores) keyed on the store
-  // cursor and canonicalized assumption set, shared between the main solver
-  // and every scheduler worker (sat/verdict_cache.h). Only repeated queries
-  // against an unchanged formula hit, so this is correctness-neutral.
-  bool verdict_cache = true;
   // Wall-clock budget for the whole verification run, in milliseconds
   // (0 = unlimited), measured from context construction. Solvers abort past
   // it and the run reports Verdict::Unknown with `timed_out` set — a
@@ -151,11 +137,7 @@ public:
   SsMacros macros;
   PersistenceClassifier pers;
   ipc::Engine engine;
-  // Shared UNSAT-verdict cache (main solver + workers) and the UNSAT-core
-  // frontier pruner. Both exist unconditionally — the options toggles gate
-  // their *use* — and must be declared before `scheduler`, whose workers
-  // capture a pointer to the cache at construction.
-  sat::VerdictCache verdict_cache;
+  // UNSAT-core frontier pruner, fed by every saturating sweep.
   FrontierPruner pruner;
   // Absolute deadline derived from options.deadline_ms at construction
   // (nullopt = unlimited); installed on the main solver and every worker.

@@ -49,9 +49,8 @@ void render_solver_usage(std::ostringstream& os, const SolverUsage& usage) {
        << " imported";
   }
   os << "\n";
-  if (usage.cache_hits != 0 || usage.cache_misses != 0 || usage.pruned_candidates != 0) {
-    os << "incremental sweeps: " << usage.cache_hits << " cache hits / " << usage.cache_misses
-       << " misses, " << usage.pruned_candidates << " candidates pruned by cores, "
+  if (usage.pruned_candidates != 0) {
+    os << "frontier pruning: " << usage.pruned_candidates << " candidates pruned by cores, "
        << usage.retained_learnts << " learnts retained\n";
   }
   if (usage.simplify.runs != 0) {
@@ -69,9 +68,6 @@ void render_solver_usage(std::ostringstream& os, const SolverUsage& usage) {
        << " propagations, " << s.learned_clauses << " learned";
     if (s.exported_clauses != 0 || s.imported_clauses != 0) {
       os << ", " << s.exported_clauses << " exported, " << s.imported_clauses << " imported";
-    }
-    if (w < usage.per_worker_cache_hits.size() && usage.per_worker_cache_hits[w] != 0) {
-      os << ", " << usage.per_worker_cache_hits[w] << " cache hits";
     }
     os << "\n";
     // Portfolio-member breakdown: the members' counters sum to the worker

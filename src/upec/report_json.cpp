@@ -27,10 +27,6 @@ void write_config(util::JsonWriter& w, const VerifyOptions& o) {
   w.value(o.threads);
   w.key("share_clauses");
   w.value(o.share_clauses);
-  w.key("incremental_sweeps");
-  w.value(o.incremental_sweeps);
-  w.key("verdict_cache");
-  w.value(o.verdict_cache);
   w.key("deadline_ms");
   w.value(o.deadline_ms);
   w.key("portfolio");
@@ -79,10 +75,6 @@ void write_iteration(util::JsonWriter& w, const UpecContext& ctx, const Iteratio
   w.value(log.timed_out);
   w.key("pruned");
   w.value(log.pruned);
-  w.key("cache_hits");
-  w.value(log.cache_hits);
-  w.key("cache_misses");
-  w.value(log.cache_misses);
   w.key("removed");
   w.begin_array();
   for (rtlir::StateVarId sv : log.removed) w.value(ctx.svt.name(sv));
@@ -101,7 +93,7 @@ void write_names(util::JsonWriter& w, const UpecContext& ctx,
 void write_head(util::JsonWriter& w, const UpecContext& ctx, const char* algorithm,
                 Verdict verdict, bool timed_out, double total_seconds) {
   w.key("schema");
-  w.value("upec-report-v1");
+  w.value("upec-report-v2");
   w.key("algorithm");
   w.value(algorithm);
   w.key("verdict");

@@ -4,7 +4,7 @@
 //
 // Schema (stable key order, see README "Observability"):
 //   {
-//     "schema": "upec-report-v1",
+//     "schema": "upec-report-v2",
 //     "algorithm": "alg1" | "alg2",
 //     "verdict": "secure" | "vulnerable" | "unknown",
 //     "timed_out": bool,

@@ -11,95 +11,26 @@ namespace upec {
 
 namespace {
 
-// The classic single-solver path: incremental counterexample saturation on
-// the context's main solver. Solve the disjunction of the remaining diff
-// literals, harvest every differing variable from the model, shrink, repeat
-// until UNSAT (or, with saturate == false, stop after the first model).
+// Single-solver path on the context's main solver: candidates are
+// registered once with persistent activation literals and the saturating
+// sweep then scans them one candidate per solve — assume the candidate's
+// activation literal true (the query is exactly "diff(sv) satisfiable") and
+// harvest every other still-unresolved candidate the model happens to prove
+// differing. No violation literal, no store growth, and each UNSAT answer
+// comes with a per-candidate assumption core for frontier pruning: a SAT
+// model retires many candidates at once, while the UNSAT confirmations — the
+// dominant cost on the secure workload — never pay for the selector
+// indirection of a group disjunction, and their cores mention only the eq
+// assumptions that one candidate's refutation needs.
 //
-// CheckScheduler::sweep (ipc/scheduler.cpp) runs the same harvest/shrink
-// step per chunk; the two implementations stay separate because they differ
-// structurally (BoundedProperty on the context engine vs backend rounds with
-// a barrier), and their agreement is semantic — both converge on
-// {sv : diff(sv) satisfiable} — not textual. test_determinism pins it.
-SweepOutcome sweep_sequential_legacy(UpecContext& ctx, const std::string& property_name,
-                                     const std::vector<encode::Lit>& assumptions,
-                                     const std::vector<rtlir::StateVarId>& members,
-                                     unsigned frame, bool saturate) {
+// CheckScheduler::sweep (ipc/scheduler.cpp) runs the same scan per chunk on
+// its workers. The two harvest differently — this loop compares state bits
+// through Miter::differs_in_model, the workers read their diff literals —
+// but both converge on {sv : diff(sv) satisfiable}; test_determinism pins it.
+SweepOutcome sweep_main(UpecContext& ctx, const std::vector<encode::Lit>& assumptions,
+                        const std::vector<rtlir::StateVarId>& members, unsigned frame,
+                        bool saturate) {
   SweepOutcome out;
-  std::vector<rtlir::StateVarId> remaining = members;
-
-  ipc::BoundedProperty prop;
-  prop.name = property_name;
-  prop.window = frame;
-  prop.assumptions = assumptions;
-
-  bool unknown = false;
-  bool inconsistent = false;
-  while (!remaining.empty()) {
-    std::vector<encode::Lit> diffs;
-    diffs.reserve(remaining.size());
-    for (rtlir::StateVarId sv : remaining) diffs.push_back(ctx.miter.diff_literal(sv, frame));
-    prop.violation = ctx.engine.violation_any(ctx.miter.cnf(), diffs);
-
-    const ipc::CheckResult check = ctx.engine.check(prop);
-    // The violation literal is single-use: pin it false at the root so the
-    // disjunction clause it guards goes dead for BCP (and for every worker
-    // that later hydrates it) instead of accumulating round after round.
-    // Model reads below are unaffected — they consult the saved model, not
-    // the trail this unit re-propagates.
-    ctx.miter.cnf().add_clause(std::vector<encode::Lit>{~prop.violation});
-    out.seconds += check.seconds;
-    out.conflicts += check.conflicts;
-    if (check.status == ipc::CheckStatus::Unknown) {
-      unknown = true;
-      out.timed_out = out.timed_out || check.timed_out;
-      break;
-    }
-    if (check.status == ipc::CheckStatus::Holds) break;
-
-    std::vector<rtlir::StateVarId> newly;
-    for (rtlir::StateVarId sv : remaining) {
-      if (ctx.miter.differs_in_model(sv, frame)) newly.push_back(sv);
-    }
-    if (newly.empty()) {
-      // A violation with no extractable difference would mean the diff
-      // literals and the model disagree; stop rather than loop.
-      inconsistent = true;
-      break;
-    }
-    out.s_cex.insert(out.s_cex.end(), newly.begin(), newly.end());
-    std::erase_if(remaining, [&](rtlir::StateVarId sv) {
-      return std::find(newly.begin(), newly.end(), sv) != newly.end();
-    });
-    if (!saturate) break;
-  }
-
-  std::sort(out.s_cex.begin(), out.s_cex.end());
-  out.status = (unknown || inconsistent)  ? ipc::CheckStatus::Unknown
-               : out.s_cex.empty()        ? ipc::CheckStatus::Holds
-                                          : ipc::CheckStatus::Violated;
-  return out;
-}
-
-// Incremental single-solver path: candidates are registered once with
-// persistent activation literals and the saturating sweep then scans them
-// one candidate per solve — assume the candidate's activation literal true
-// (the query is exactly "diff(sv) satisfiable") and harvest every other
-// still-unresolved candidate the model happens to prove differing. No
-// violation literal, no retirement unit, no store growth, and each UNSAT
-// answer comes with a per-candidate assumption core for frontier pruning.
-// Per-candidate queries beat the legacy disjunction structurally: a SAT
-// model retires many candidates at once exactly as before, while the UNSAT
-// confirmations — the dominant cost on the secure workload — never pay for
-// the selector indirection of a group disjunction, and their cores mention
-// only the eq assumptions that one candidate's refutation needs.
-SweepOutcome sweep_sequential_incremental(UpecContext& ctx,
-                                          const std::vector<encode::Lit>& assumptions,
-                                          const std::vector<rtlir::StateVarId>& members,
-                                          unsigned frame, bool saturate) {
-  SweepOutcome out;
-  const std::uint64_t hits0 = ctx.engine.cache_hits();
-  const std::uint64_t misses0 = ctx.engine.cache_misses();
   ctx.miter.register_candidates(members, frame);
 
   bool unknown = false;
@@ -166,31 +97,27 @@ SweepOutcome sweep_sequential_incremental(UpecContext& ctx,
   out.status = (unknown || inconsistent)  ? ipc::CheckStatus::Unknown
                : out.s_cex.empty()        ? ipc::CheckStatus::Holds
                                           : ipc::CheckStatus::Violated;
-  out.cache_hits = ctx.engine.cache_hits() - hits0;
-  out.cache_misses = ctx.engine.cache_misses() - misses0;
   return out;
 }
 
 } // namespace
 
-SweepOutcome sweep_frame(UpecContext& ctx, const std::string& property_name,
-                         const std::vector<encode::Lit>& assumptions, const StateSet& S,
-                         unsigned frame, bool saturate) {
+SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assumptions,
+                         const StateSet& S, unsigned frame, bool saturate) {
   util::trace::Span span("upec.sweep_frame", "upec");
   span.arg("frame", std::uint64_t{frame});
   std::vector<rtlir::StateVarId> members = S.to_vector();
   span.arg("candidates", static_cast<std::uint64_t>(members.size()));
   SweepOutcome out;
 
-  // UNSAT-core frontier pruning (incremental mode, saturating sweeps only —
-  // in the single-model ablation pruning could change which model the solver
-  // finds, i.e. the reported set). A pruned candidate is one whose recorded
+  // UNSAT-core frontier pruning (saturating sweeps only — in the
+  // single-model ablation pruning could change which model the solver finds,
+  // i.e. the reported set). A pruned candidate is one whose recorded
   // refutation core is entailed by the current assumptions, so dropping it
   // cannot change the semantic frontier — only skip re-proving it.
-  const bool incremental = ctx.options.incremental_sweeps;
   std::unordered_set<rtlir::StateVarId> eq_assumed;
   std::unordered_set<std::int32_t> assumption_lits;
-  if (incremental && saturate) {
+  if (saturate) {
     rtlir::StateVarId sv = 0;
     for (encode::Lit a : assumptions) {
       assumption_lits.insert(a.index());
@@ -217,17 +144,10 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::string& property_name,
     out.s_cex = std::move(r.differing);
     out.seconds = r.seconds;
     out.conflicts = r.conflicts;
-    out.cache_hits = r.cache_hits;
-    out.cache_misses = r.cache_misses;
     out.unsat_groups = std::move(r.unsat_groups);
     out.timed_out = r.timed_out;
-  } else if (incremental) {
-    SweepOutcome seq = sweep_sequential_incremental(ctx, assumptions, members, frame, saturate);
-    seq.pruned = out.pruned;
-    out = std::move(seq);
   } else {
-    SweepOutcome seq =
-        sweep_sequential_legacy(ctx, property_name, assumptions, members, frame, saturate);
+    SweepOutcome seq = sweep_main(ctx, assumptions, members, frame, saturate);
     seq.pruned = out.pruned;
     out = std::move(seq);
   }
@@ -237,7 +157,7 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::string& property_name,
   // (see upec/incremental.h). Core literals split into eq-assumption state
   // variables, other assumptions (macros), and selector literals — the
   // latter identified by absence from the assumption set and dropped.
-  if (incremental && saturate) {
+  if (saturate) {
     for (const ipc::SweepResult::UnsatGroup& group : out.unsat_groups) {
       FrontierPruner::Justification just;
       rtlir::StateVarId sv = 0;
@@ -260,37 +180,19 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::string& property_name,
 }
 
 std::optional<ipc::Waveform> extract_pers_waveform(UpecContext& ctx,
-                                                   const std::string& property_name,
                                                    const std::vector<encode::Lit>& assumptions,
                                                    const SweepOutcome& out, unsigned frame,
                                                    IterationLog& log, double& total_seconds) {
   util::trace::Span span("upec.waveform", "upec");
   span.arg("frame", std::uint64_t{frame});
   span.arg("pers_hits", static_cast<std::uint64_t>(out.pers_hits.size()));
-  ipc::CheckResult check;
-  if (ctx.options.incremental_sweeps) {
-    // The persistent hits are registered candidates (pers_hits ⊆ s_cex ⊆ the
-    // swept set), so restricting the violation to them is pure assumption
-    // selection — no new encoding, and the solve lands on the main solver
-    // whose model the waveform extractor reads.
-    std::vector<encode::Lit> as = assumptions;
-    ctx.miter.select_candidates(frame, out.pers_hits, as);
-    check = ctx.engine.check_assumptions(as);
-  } else {
-    std::vector<encode::Lit> diffs;
-    diffs.reserve(out.pers_hits.size());
-    for (rtlir::StateVarId sv : out.pers_hits) diffs.push_back(ctx.miter.diff_literal(sv, frame));
-
-    ipc::BoundedProperty prop;
-    prop.name = property_name + "-cex";
-    prop.window = frame;
-    prop.assumptions = assumptions;
-    prop.violation = ctx.engine.violation_any(ctx.miter.cnf(), diffs);
-
-    check = ctx.engine.check(prop);
-    // Single-use violation literal; retire it (see sweep_sequential_legacy).
-    ctx.miter.cnf().add_clause(std::vector<encode::Lit>{~prop.violation});
-  }
+  // The persistent hits are registered candidates (pers_hits ⊆ s_cex ⊆ the
+  // swept set), so restricting the violation to them is pure assumption
+  // selection — no new encoding, and the solve lands on the main solver
+  // whose model the waveform extractor reads.
+  std::vector<encode::Lit> as = assumptions;
+  ctx.miter.select_candidates(frame, out.pers_hits, as);
+  const ipc::CheckResult check = ctx.engine.check_assumptions(as);
   log.seconds += check.seconds;
   log.conflicts += check.conflicts;
   total_seconds += check.seconds;

@@ -1,17 +1,18 @@
-// One UPEC iteration's counterexample collection, mode-dispatched.
+// One UPEC iteration's counterexample collection.
 //
 // Computes S_cex = { sv in S : diff(sv, frame) satisfiable under the given
 // assumptions } — the complete influence frontier of the victim at that
-// frame. With threads == 1 this runs the classic incremental saturation loop
-// on the context's main solver; with threads > 1 it fans the same computation
-// across the CheckScheduler's worker pool. Both paths return the same sorted
-// sets (the result is semantic, see ipc/scheduler.h), which is what makes
-// multi-threaded runs bit-identical to single-threaded ones.
+// frame. Candidates whose recorded UNSAT core still refutes them are pruned
+// up front (upec/incremental.h); the rest are queried one candidate per
+// solve through persistent activation literals. Without a scheduler the
+// queries run on the context's main solver; with one they fan out across its
+// worker pool. Both return the same sorted sets (the result is semantic, see
+// ipc/scheduler.h), which is what makes multi-threaded runs bit-identical to
+// single-threaded ones.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "ipc/cex.h"
@@ -32,23 +33,18 @@ struct SweepOutcome {
   std::vector<rtlir::StateVarId> pers_hits;  // sorted; s_cex ∩ S_pers
   double seconds = 0.0;
   std::uint64_t conflicts = 0;
-  // Incremental-sweep bookkeeping (all zero/empty on the legacy path):
-  // candidates skipped up front because a recorded UNSAT core still proves
-  // them unable to differ, verdict-cache traffic during this sweep, and the
-  // final chunk refutations (already mined into the context's pruner by
-  // sweep_frame; exposed for tests).
+  // Candidates skipped up front because a recorded UNSAT core still proves
+  // them unable to differ, and the per-candidate refutations (already mined
+  // into the context's pruner by sweep_frame; exposed for tests).
   std::size_t pruned = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::vector<ipc::SweepResult::UnsatGroup> unsat_groups;
   // An Unknown status was (at least in part) a wall-clock deadline hit, as
   // opposed to conflict-budget exhaustion (see VerifyOptions::deadline_ms).
   bool timed_out = false;
 };
 
-SweepOutcome sweep_frame(UpecContext& ctx, const std::string& property_name,
-                         const std::vector<encode::Lit>& assumptions, const StateSet& S,
-                         unsigned frame, bool saturate);
+SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assumptions,
+                         const StateSet& S, unsigned frame, bool saturate);
 
 // Vulnerable-verdict epilogue: re-solves on the context's main solver with a
 // violation restricted to the persistent hits (each is individually
@@ -56,7 +52,6 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::string& property_name,
 // the counterexample waveform from that model. Accounts the solve into `log`
 // and `total_seconds`.
 std::optional<ipc::Waveform> extract_pers_waveform(UpecContext& ctx,
-                                                   const std::string& property_name,
                                                    const std::vector<encode::Lit>& assumptions,
                                                    const SweepOutcome& out, unsigned frame,
                                                    IterationLog& log, double& total_seconds);

@@ -1,7 +1,7 @@
 // Hierarchical counter/gauge snapshot with explicit merge semantics.
 //
 // The engine's per-component statistics (sat::SolverStats, SimplifyStats,
-// BackendHealth, ipc::SweepResult, upec cache/pruner counters) are unified
+// BackendHealth, ipc::SweepResult, upec pruner counters) are unified
 // into one named, flat registry. Names are dotted paths that encode the
 // hierarchy — `sat.solver.w3.conflicts`, `sat.solver.w3.m1.conflicts`,
 // `upec.sweep.pruned_candidates`, `sat.channel.exported` — so a snapshot
@@ -9,7 +9,7 @@
 // the aggregate.
 //
 // Merge semantics, defined once here instead of at every call site:
-//   - Counter: merges by SUM (conflicts, propagations, cache hits, ...).
+//   - Counter: merges by SUM (conflicts, propagations, solve calls, ...).
 //   - Gauge:   merges by MAX (live learnt clauses, quarantined flags,
 //              high-water marks). Monotone-safe for "any member" checks.
 // Merging a counter into a gauge (or vice versa) keeps the existing kind;

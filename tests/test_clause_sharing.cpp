@@ -1,7 +1,6 @@
 // Worker-to-worker learned-clause sharing: the ClauseChannel protocol, the
-// InprocBackend wiring, budget-exhaustion reporting through the scheduler,
-// and the activation-literal retirement that keeps the shared store from
-// accumulating dead violation clauses across sweep rounds.
+// InprocBackend wiring, and budget-exhaustion reporting through the
+// scheduler.
 //
 // The determinism side (sharing on/off × thread counts must produce
 // bit-identical frontiers) is pinned in test_determinism; this file covers
@@ -215,53 +214,6 @@ TEST(ClauseSharing, SharingOffPublishesNothing) {
   EXPECT_EQ(ctx.scheduler->shared_clauses(), 0u);
   EXPECT_EQ(result.stats.total.exported_clauses, 0u);
   EXPECT_EQ(result.stats.total.imported_clauses, 0u);
-}
-
-TEST(ClauseSharing, ActivationLiteralsRetireAndStoreGrowthIsBounded) {
-  // Legacy (re-encoding) sweep mode: repeated sweeps over the same candidates
-  // must only grow the store by the fresh activation literals of each round —
-  // the diff encoding is reused — and every activation literal must be pinned
-  // false (retired) once its round is over. An unpinned act var would read
-  // true under the solver's positive default phase, so reading false is the
-  // retirement signal. (The incremental mode grows the store not at all after
-  // the first sweep — pinned by test_incremental.)
-  const soc::Soc soc = tiny_soc();
-  VerifyOptions options;
-  options.threads = 2;
-  options.incremental_sweeps = false;
-  options.verdict_cache = false;
-  UpecContext ctx(soc, options);
-  ASSERT_NE(ctx.scheduler, nullptr);
-
-  const std::vector<rtlir::StateVarId> candidates = ctx.s_pers.to_vector();
-  ASSERT_GE(candidates.size(), 2u);
-  constexpr unsigned kFrame = 1;
-
-  const ipc::SweepResult r1 = ctx.scheduler->sweep(ctx.miter, {}, candidates, kFrame);
-  const int n1 = ctx.solver.num_vars();
-  const ipc::SweepResult r2 = ctx.scheduler->sweep(ctx.miter, {}, candidates, kFrame);
-  const int n2 = ctx.solver.num_vars();
-  const ipc::SweepResult r3 = ctx.scheduler->sweep(ctx.miter, {}, candidates, kFrame);
-  const int n3 = ctx.solver.num_vars();
-
-  // Same semantic answer each time.
-  EXPECT_EQ(r1.status, r2.status);
-  EXPECT_EQ(r1.differing, r2.differing);
-  EXPECT_EQ(r2.differing, r3.differing);
-
-  // Steady state: growth per sweep is exactly the activation literals, one
-  // per (worker, round) at most.
-  EXPECT_EQ(n3 - n2, n2 - n1);
-  EXPECT_GT(n3 - n2, 0);
-  EXPECT_LE(static_cast<unsigned>(n3 - n2), r3.rounds * ctx.scheduler->workers());
-
-  // All activation literals of the last sweep were created in [n2, n3); after
-  // the sweep they are retired (root unit ¬act), so a fresh model reads every
-  // one of them false.
-  ASSERT_TRUE(ctx.solver.solve());
-  for (int v = n2; v < n3; ++v) {
-    EXPECT_FALSE(ctx.solver.model_value(static_cast<sat::Var>(v))) << "act var " << v;
-  }
 }
 
 } // namespace

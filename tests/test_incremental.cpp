@@ -1,18 +1,15 @@
 // Cross-iteration incremental sweeps: persistent candidate activation
-// (Miter::register_candidates / select_candidates), the shared UNSAT verdict
-// cache (sat/verdict_cache.h), and UNSAT-core frontier pruning
-// (upec/incremental.h).
+// (Miter::register_candidates / select_candidates) and UNSAT-core frontier
+// pruning (upec/incremental.h).
 //
-// The determinism side (incremental / cache toggles × thread counts must
-// produce bit-identical frontiers) is additionally pinned in
-// test_determinism; this file covers the machinery itself plus the
-// end-to-end work-avoidance effects.
+// The determinism side (frontiers bit-identical across thread counts and
+// equal to a direct-diff reference) is pinned in test_determinism; this
+// file covers the machinery itself plus the end-to-end work-avoidance
+// effects.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "sat/backend.h"
-#include "sat/verdict_cache.h"
 #include "upec/report.h"
 #include "upec/sweep.h"
 
@@ -20,110 +17,12 @@ namespace upec {
 namespace {
 
 sat::Lit pos(sat::Var v) { return sat::Lit(v, false); }
-sat::Lit neg(sat::Var v) { return sat::Lit(v, true); }
 
 soc::Soc tiny_soc() {
   soc::SocConfig cfg;
   cfg.pub_ram_words = 8;
   cfg.priv_ram_words = 4;
   return soc::build_pulpissimo(cfg);
-}
-
-// ---------------------------------------------------------------- VerdictCache
-
-TEST(IncrementalSweeps, VerdictCacheHitMissAndCanonicalization) {
-  sat::VerdictCache cache;
-  const sat::CnfSnapshot::Cursor cursor{4, 7};
-  const std::vector<sat::Lit> assumptions = {pos(0), neg(1)};
-  const std::vector<sat::Lit> core = {neg(1)};
-
-  std::vector<sat::Lit> got;
-  EXPECT_FALSE(cache.lookup_unsat(1, cursor, assumptions, &got));
-  cache.insert_unsat(1, cursor, assumptions, core);
-  EXPECT_EQ(cache.entries(), 1u);
-
-  ASSERT_TRUE(cache.lookup_unsat(1, cursor, assumptions, &got));
-  EXPECT_EQ(got, core);
-  // Permuted and duplicated assumption vectors canonicalize to the same key.
-  ASSERT_TRUE(cache.lookup_unsat(1, cursor, {neg(1), pos(0), neg(1)}, &got));
-  EXPECT_EQ(got, core);
-  // A different assumption set misses.
-  EXPECT_FALSE(cache.lookup_unsat(1, cursor, {pos(0)}, &got));
-
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
-  // Duplicate insert is idempotent.
-  cache.insert_unsat(1, cursor, {neg(1), pos(0)}, core);
-  EXPECT_EQ(cache.entries(), 1u);
-}
-
-TEST(IncrementalSweeps, VerdictCacheCursorAdvanceInvalidates) {
-  sat::VerdictCache cache;
-  const std::vector<sat::Lit> assumptions = {pos(0)};
-  cache.insert_unsat(1, sat::CnfSnapshot::Cursor{2, 3}, assumptions, {pos(0)});
-  // Same assumptions against a grown formula prefix: different key, miss.
-  EXPECT_FALSE(cache.lookup_unsat(1, sat::CnfSnapshot::Cursor{2, 4}, assumptions, nullptr));
-  EXPECT_FALSE(cache.lookup_unsat(1, sat::CnfSnapshot::Cursor{3, 3}, assumptions, nullptr));
-  EXPECT_TRUE(cache.lookup_unsat(1, sat::CnfSnapshot::Cursor{2, 3}, assumptions, nullptr));
-}
-
-TEST(IncrementalSweeps, VerdictCacheStoreIdentitySeparatesFormulas) {
-  // Two stores can present equal (vars, clauses) cursors while holding
-  // different clauses — a simplified generation next to its original, for
-  // example. Entries must never cross between them.
-  sat::VerdictCache cache;
-  const sat::CnfSnapshot::Cursor cursor{2, 3};
-  const std::vector<sat::Lit> assumptions = {pos(0)};
-  cache.insert_unsat(7, cursor, assumptions, {pos(0)});
-  EXPECT_FALSE(cache.lookup_unsat(8, cursor, assumptions, nullptr));
-  EXPECT_TRUE(cache.lookup_unsat(7, cursor, assumptions, nullptr));
-}
-
-TEST(IncrementalSweeps, VerdictCacheCapacityCapDropsNotCorrupts) {
-  sat::VerdictCache cache;
-  cache.set_max_entries(1);
-  cache.insert_unsat(1, sat::CnfSnapshot::Cursor{1, 1}, {pos(0)}, {});
-  cache.insert_unsat(1, sat::CnfSnapshot::Cursor{1, 1}, {pos(1)}, {});
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_TRUE(cache.lookup_unsat(1, sat::CnfSnapshot::Cursor{1, 1}, {pos(0)}, nullptr));
-  EXPECT_FALSE(cache.lookup_unsat(1, sat::CnfSnapshot::Cursor{1, 1}, {pos(1)}, nullptr));
-}
-
-TEST(IncrementalSweeps, BackendsShareCacheAndReplayCores) {
-  // Two backends over one store and one cache: the second backend's identical
-  // query must hit the entry the first one inserted and observe the same
-  // core, without any solving of its own.
-  sat::CnfStore store;
-  const sat::Var a = store.new_var(), b = store.new_var();
-  store.add_clause({pos(a), pos(b)});
-  sat::VerdictCache cache;
-
-  sat::InprocBackend b0, b1;
-  b0.set_verdict_cache(&cache);
-  b1.set_verdict_cache(&cache);
-  const sat::CnfSnapshot snap = store.snapshot();
-  b0.sync(snap);
-  b1.sync(snap);
-
-  const std::vector<sat::Lit> as = {neg(a), neg(b)};
-  ASSERT_EQ(b0.solve(as), sat::SolveStatus::Unsat);
-  EXPECT_EQ(b0.cache_misses(), 1u);
-  EXPECT_EQ(b0.cache_hits(), 0u);
-  const std::vector<sat::Lit> core = b0.unsat_core();
-  EXPECT_FALSE(core.empty());
-
-  ASSERT_EQ(b1.solve(as), sat::SolveStatus::Unsat);
-  EXPECT_EQ(b1.cache_hits(), 1u);
-  EXPECT_EQ(b1.unsat_core(), core);
-
-  // Appending to the store invalidates: after re-sync the same query misses.
-  store.add_clause({pos(a), pos(b)});  // content-irrelevant growth
-  const sat::CnfSnapshot snap2 = store.snapshot();
-  b1.sync(snap2);
-  ASSERT_EQ(b1.solve(as), sat::SolveStatus::Unsat);
-  EXPECT_EQ(b1.cache_hits(), 1u);
-  EXPECT_EQ(b1.cache_misses(), 1u);
-  EXPECT_EQ(cache.entries(), 2u);
 }
 
 // -------------------------------------------------------------- FrontierPruner
@@ -194,11 +93,10 @@ TEST(IncrementalSweeps, ActivationSelectionMatchesDirectDiffQueries) {
   EXPECT_TRUE(ctx.solver.solve(as));
 }
 
-TEST(IncrementalSweeps, SchedulerSweepsStopGrowingTheStoreAndHitTheCache) {
-  // Incremental mode: the first sweep registers the candidates; repeated
-  // sweeps are pure assumption selection — zero store growth — and their
-  // final chunk refutations (a semantic set, identical across sweeps) come
-  // straight from the verdict cache.
+TEST(IncrementalSweeps, SchedulerSweepsStopGrowingTheStore) {
+  // The first sweep registers the candidates; repeated sweeps are pure
+  // assumption selection — zero store growth — and reach the same semantic
+  // answer.
   const soc::Soc soc = tiny_soc();
   VerifyOptions options = countermeasure_options();
   options.threads = 2;
@@ -224,33 +122,10 @@ TEST(IncrementalSweeps, SchedulerSweepsStopGrowingTheStoreAndHitTheCache) {
     // Cores are subsets of what was assumed (selectors included).
     EXPECT_FALSE(g.enabled.empty());
   }
-  EXPECT_GT(r2.cache_hits, 0u) << "repeated final refutations must hit the cache";
   EXPECT_GT(r2.retained_learnts + r1.retained_learnts, 0u);
 }
 
 // ----------------------------------------------------------------- end to end
-
-TEST(IncrementalSweeps, EngineCachesRepeatedAssumptionQueries) {
-  const soc::Soc soc = tiny_soc();
-  UpecContext ctx(soc);
-  const std::vector<rtlir::StateVarId> candidates = ctx.s_pers.to_vector();
-  ctx.miter.register_candidates(candidates, 1);
-
-  std::vector<encode::Lit> as;
-  ctx.miter.select_candidates(1, {}, as);  // trivially UNSAT selection
-
-  std::vector<encode::Lit> core1, core2;
-  const ipc::CheckResult c1 = ctx.engine.check_assumptions(as, &core1);
-  ASSERT_EQ(c1.status, ipc::CheckStatus::Holds);
-  EXPECT_EQ(ctx.engine.cache_hits(), 0u);
-  EXPECT_EQ(ctx.engine.cache_misses(), 1u);
-
-  const ipc::CheckResult c2 = ctx.engine.check_assumptions(as, &core2);
-  ASSERT_EQ(c2.status, ipc::CheckStatus::Holds);
-  EXPECT_EQ(ctx.engine.cache_hits(), 1u);
-  EXPECT_EQ(core2, core1) << "a hit must replay the original core";
-  EXPECT_EQ(c2.conflicts, 0u);
-}
 
 TEST(IncrementalSweeps, RerunSeededWithFinalSIsFullyPruned) {
   // After a secure Alg. 1 run, every member of the final inductive S carries
@@ -276,42 +151,8 @@ TEST(IncrementalSweeps, RerunSeededWithFinalSIsFullyPruned) {
   EXPECT_GT(r2.stats.pruned_candidates, 0u);
 
   const std::string report = render_report(ctx, r2);
-  EXPECT_NE(report.find("incremental sweeps:"), std::string::npos) << report;
+  EXPECT_NE(report.find("frontier pruning:"), std::string::npos) << report;
   EXPECT_NE(report.find("pruned"), std::string::npos) << report;
-}
-
-TEST(IncrementalSweeps, ToggleOffMatchesToggleOnAlg1) {
-  // The incremental machinery only removes work: frontiers, verdicts and
-  // iteration shapes are bit-identical with it on or off, for both verdicts.
-  const soc::Soc soc = tiny_soc();
-  Alg1Options opts;
-  opts.extract_waveform = false;
-
-  for (const bool secure : {true, false}) {
-    VerifyOptions on = secure ? countermeasure_options() : VerifyOptions{};
-    VerifyOptions off = on;
-    off.incremental_sweeps = false;
-    off.verdict_cache = false;
-
-    UpecContext ctx_on(soc, on);
-    UpecContext ctx_off(soc, off);
-    const Alg1Result a = run_alg1(ctx_on, opts);
-    const Alg1Result b = run_alg1(ctx_off, opts);
-    SCOPED_TRACE(secure ? "secure" : "vulnerable");
-    EXPECT_EQ(a.verdict, b.verdict);
-    ASSERT_EQ(a.iterations.size(), b.iterations.size());
-    for (std::size_t i = 0; i < a.iterations.size(); ++i) {
-      EXPECT_EQ(a.iterations[i].s_size, b.iterations[i].s_size) << "iteration " << i;
-      EXPECT_EQ(a.iterations[i].removed, b.iterations[i].removed) << "iteration " << i;
-      EXPECT_EQ(a.iterations[i].status, b.iterations[i].status) << "iteration " << i;
-    }
-    EXPECT_EQ(a.persistent_hits, b.persistent_hits);
-    EXPECT_EQ(a.full_cex, b.full_cex);
-    EXPECT_TRUE(a.final_s == b.final_s);
-    // Legacy mode reports no incremental work avoidance.
-    EXPECT_EQ(b.stats.pruned_candidates, 0u);
-    EXPECT_EQ(b.stats.cache_hits, 0u);
-  }
 }
 
 } // namespace

@@ -111,14 +111,14 @@ TEST(Engine, HoldsViolatedAndViolationAny) {
 
   BoundedProperty reachable;
   reachable.window = 1;
-  reachable.violation = engine.violation_any(cnf, {is_5a});
+  reachable.violation = make_violation_any(cnf, {is_5a});
   EXPECT_EQ(engine.check(reachable).status, CheckStatus::Violated);
 
   // An unsatisfiable violation: r@1 equals the input yet differs from it.
   const encode::Lit eq_in = cnf.v_eq(inst.reg_at(1, r.index), inst.input_at(0, 0));
   BoundedProperty impossible;
   impossible.window = 1;
-  impossible.violation = engine.violation_any(cnf, {cnf.and2(eq_in, ~eq_in)});
+  impossible.violation = make_violation_any(cnf, {cnf.and2(eq_in, ~eq_in)});
   EXPECT_EQ(engine.check(impossible).status, CheckStatus::Holds);
 }
 

@@ -1,6 +1,6 @@
 // Observability stack: the JSON writer/parser pair, the unified metrics
 // registry and its aggregation identities, the Chrome trace-event stream,
-// the upec-report-v1 JSON report, and the solver progress hooks.
+// the upec-report-v2 JSON report, and the solver progress hooks.
 //
 // The parse-back tests use the strict util::parse_json reader deliberately:
 // every artifact the engine emits must survive a reader that rejects
@@ -157,10 +157,10 @@ TEST(MetricsRegistry, FilteredSelectsPrefixes) {
   util::MetricsSnapshot m;
   m.add_counter("sat.solver.total.conflicts", 1);
   m.add_counter("sat.channel.exported", 2);
-  m.add_counter("upec.cache.hits", 3);
+  m.add_counter("upec.sweep.pruned_candidates", 3);
   const util::MetricsSnapshot f = m.filtered({"upec.", "sat.channel."});
   EXPECT_EQ(f.size(), 2u);
-  EXPECT_TRUE(f.has("upec.cache.hits"));
+  EXPECT_TRUE(f.has("upec.sweep.pruned_candidates"));
   EXPECT_FALSE(f.has("sat.solver.total.conflicts"));
   EXPECT_EQ(m.filtered({}).size(), 3u); // empty list = everything
 }
@@ -254,7 +254,8 @@ TEST(MetricsAggregation, ArenaGaugesCoverEverySolver) {
   }
   // Gauges stay out of the sat.solver.* tree, whose totals sum counters.
   EXPECT_EQ(m.filtered({"sat.arena_bytes."}).size(), 3u);
-  for (const auto& [name, entry] : m.filtered({"sat.solver."}).entries()) {
+  const util::MetricsSnapshot solver_tree = m.filtered({"sat.solver."});
+  for (const auto& [name, entry] : solver_tree.entries()) {
     EXPECT_EQ(entry.kind, util::MetricKind::Counter) << name;
   }
 }
@@ -345,8 +346,8 @@ TEST(TraceEvents, StreamParsesBackStrictlyAndSpansBalance) {
   }
 
   // The spans this run must have produced (threads=2, preprocessing on,
-  // incremental sweeps on, progress armed; encode.touch_probes would need
-  // waveform extraction, which this run skips).
+  // progress armed; encode.touch_probes would need waveform extraction,
+  // which this run skips).
   for (const char* required :
        {"alg1.run", "alg1.iteration", "upec.sweep_frame", "scheduler.sweep",
         "solve.inproc", "sync.inproc", "simplify.run", "encode.register_candidates"}) {
@@ -407,7 +408,7 @@ TEST(JsonReport, Alg1ReportParsesBackAndMatchesResult) {
   util::JsonValue v;
   std::string error;
   ASSERT_TRUE(util::parse_json(doc, v, &error)) << error;
-  EXPECT_EQ(v.find("schema")->string, "upec-report-v1");
+  EXPECT_EQ(v.find("schema")->string, "upec-report-v2");
   EXPECT_EQ(v.find("algorithm")->string, "alg1");
   EXPECT_EQ(v.find("verdict")->string, verdict_name(r.verdict));
   EXPECT_EQ(v.find("timed_out")->boolean, r.timed_out);
@@ -416,6 +417,7 @@ TEST(JsonReport, Alg1ReportParsesBackAndMatchesResult) {
     const util::JsonValue& it = v.find("iterations")->array[i];
     EXPECT_EQ(it.number_or("s_size", -1), static_cast<double>(r.iterations[i].s_size));
     EXPECT_EQ(it.find("removed")->array.size(), r.iterations[i].removed.size());
+    EXPECT_EQ(it.find("cache_hits"), nullptr);  // dropped in upec-report-v2
   }
   EXPECT_EQ(v.find("persistent_hits")->array.size(), r.persistent_hits.size());
   EXPECT_EQ(v.find("full_cex")->array.size(), r.full_cex.size());
@@ -427,8 +429,8 @@ TEST(JsonReport, Alg1ReportParsesBackAndMatchesResult) {
             static_cast<double>(r.stats.total.conflicts));
   EXPECT_EQ(metrics->number_or("sat.solver.total.solve_calls", -1),
             static_cast<double>(r.stats.total.solve_calls));
-  EXPECT_EQ(metrics->number_or("upec.cache.hits", -1),
-            static_cast<double>(r.stats.cache_hits));
+  EXPECT_EQ(metrics->number_or("upec.sweep.pruned_candidates", -1),
+            static_cast<double>(r.stats.pruned_candidates));
 
   // config echo + hash: 16 lowercase hex digits, stable against re-rendering.
   const std::string& hash = v.find("config_hash")->string;
@@ -457,7 +459,7 @@ TEST(JsonReport, Alg2ReportParsesBack) {
   util::JsonValue v;
   std::string error;
   ASSERT_TRUE(util::parse_json(render_json(ctx, r), v, &error)) << error;
-  EXPECT_EQ(v.find("schema")->string, "upec-report-v1");
+  EXPECT_EQ(v.find("schema")->string, "upec-report-v2");
   EXPECT_EQ(v.find("algorithm")->string, "alg2");
   EXPECT_EQ(v.find("verdict")->string, verdict_name(r.verdict));
   EXPECT_EQ(v.find("final_k")->number, static_cast<double>(r.final_k));
