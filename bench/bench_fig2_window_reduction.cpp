@@ -39,7 +39,7 @@ int main() {
       diffs.push_back(ctx.miter.diff_literal(sv, k));
     }
     prop.violation = ipc::make_violation_any(ctx.miter.cnf(), diffs);
-    const ipc::CheckResult r = ctx.engine.check(prop);
+    const ipc::CheckResult r = ctx.scheduler.check(prop.query());
     std::printf("%-4u %-14llu %-14llu %-12.3f %-12llu\n", k,
                 static_cast<unsigned long long>(ctx.miter.cnf().num_aux_vars()),
                 static_cast<unsigned long long>(ctx.miter.cnf().num_gate_clauses()),

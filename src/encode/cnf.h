@@ -21,9 +21,8 @@ using Bits = std::vector<Lit>;
 
 class CnfBuilder {
 public:
-  // Emits into any ClauseSink: a live Solver, a recording CnfStore, or a
-  // TeeSink feeding both. The builder never solves — solving is a backend
-  // concern (sat/backend.h).
+  // Emits into any ClauseSink: a live Solver or a recording CnfStore. The
+  // builder never solves — solving is a backend concern (sat/backend.h).
   explicit CnfBuilder(sat::ClauseSink& sink);
 
   sat::ClauseSink& sink() { return sink_; }

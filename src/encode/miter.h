@@ -40,9 +40,9 @@ struct MiterOptions {
 
 class Miter {
 public:
-  // Encodes into an arbitrary clause sink (a recording CnfStore, a tee into
-  // store + solver, ...). Model inspection requires a model source — install
-  // one with set_model_source() or use the per-call overloads below.
+  // Encodes into an arbitrary clause sink (a recording CnfStore, a live
+  // Solver, ...). Model inspection requires a model source — install one with
+  // set_model_source() or use the per-call overloads below.
   Miter(sat::ClauseSink& sink, const rtlir::Design& design, const rtlir::StateVarTable& svt,
         MiterOptions options);
 
@@ -122,7 +122,9 @@ public:
                          std::vector<Lit>& out_assumptions) const;
 
   // --- model inspection (valid after a SAT solve) ------------------------------
-  // The default model source (the main solver in the single-solver setup).
+  // The default model source (the solver itself in the single-solver setup;
+  // the scheduler's worker 0, which answers CheckScheduler::check, in a
+  // UpecContext).
   void set_model_source(const sat::ModelSource* model) { model_ = model; }
 
   std::uint64_t model_value(const sat::ModelSource& model, const Bits& image) const;

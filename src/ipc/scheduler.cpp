@@ -9,18 +9,37 @@
 
 namespace upec::ipc {
 
+namespace {
+
+unsigned worker_count(const SchedulerOptions& o) { return o.threads == 0 ? 1 : o.threads; }
+
+// Solvers per worker: its portfolio members plus the external endpoint, if any.
+unsigned solvers_per_worker(const SchedulerOptions& o) {
+  return (o.portfolio == 0 ? 1 : o.portfolio) + (o.external_argv.empty() ? 0u : 1u);
+}
+
+// The one fan-out test: more than one solver behind the backends. It gates the
+// clause channel (a lone solver only reads its own publishes), snapshot
+// preprocessing (see SchedulerOptions::preprocess) and the worker threads (a
+// single worker runs inline on the caller).
+bool fans_out(const SchedulerOptions& o) { return worker_count(o) * solvers_per_worker(o) > 1; }
+
+} // namespace
+
 CheckScheduler::CheckScheduler(sat::CnfStore& store, SchedulerOptions options)
-    : store_(store), options_(std::move(options)), pool_(options_.threads == 0 ? 1 : options_.threads) {
-  const unsigned n = options_.threads == 0 ? 1 : options_.threads;
+    : store_(store),
+      options_(std::move(options)),
+      pool_(fans_out(options_) ? worker_count(options_) : 0) {
+  const unsigned n = worker_count(options_);
   const unsigned members = options_.portfolio == 0 ? 1 : options_.portfolio;
   const bool external = !options_.external_argv.empty();
   // Channel ids must be globally unique across every solver on the channel,
   // so worker w's participants live at stride * w (the plain 1-member,
   // no-external case degenerates to id == w, exactly the pre-portfolio ids).
-  const unsigned stride = members + (external ? 1u : 0u);
-  // A sharing channel needs at least two participants to be anything but
-  // overhead (collect filters out a reader's own publishes).
-  if (options_.share_clauses && n * stride > 1) channel_ = std::make_unique<sat::ClauseChannel>();
+  const unsigned stride = solvers_per_worker(options_);
+  if (options_.share_clauses && fans_out(options_)) {
+    channel_ = std::make_unique<sat::ClauseChannel>();
+  }
 
   sat::PipeOptions pipe;
   pipe.argv = options_.external_argv;
@@ -57,7 +76,7 @@ CheckScheduler::CheckScheduler(sat::CnfStore& store, SchedulerOptions options)
   // Preprocessing needs the frozen-variable contract (see SchedulerOptions).
   // It pays off because one snapshot serves the whole sweep and generations
   // persist across iterations.
-  if (options_.preprocess && options_.frozen_vars) {
+  if (options_.preprocess && options_.frozen_vars && fans_out(options_)) {
     simplifier_ = std::make_unique<sat::Simplifier>(options_.simplify);
   }
 }
@@ -230,6 +249,37 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
                                              : CheckStatus::Violated;
   result.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (simplifier_ != nullptr) result.simplify = simplifier_->stats();
+  return result;
+}
+
+CheckResult CheckScheduler::check(const std::vector<encode::Lit>& assumptions,
+                                  std::vector<encode::Lit>* core) {
+  util::trace::Span span("scheduler.check", "ipc");
+  span.arg("assumptions", static_cast<std::uint64_t>(assumptions.size()));
+  if (core != nullptr) core->clear();
+  sat::SolverBackend& backend = *backends_[0];
+  const sat::SolverStats before = backend.stats();
+  const auto t0 = std::chrono::steady_clock::now();
+  backend.sync(store_.snapshot());
+  const sat::SolveStatus status = backend.solve(assumptions);
+
+  CheckResult result;
+  result.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const sat::SolverStats delta = backend.stats() - before;
+  result.conflicts = delta.conflicts;
+  result.decisions = delta.decisions;
+  result.propagations = delta.propagations;
+  switch (status) {
+  case sat::SolveStatus::Sat: result.status = CheckStatus::Violated; break;
+  case sat::SolveStatus::Unsat:
+    result.status = CheckStatus::Holds;
+    if (core != nullptr) *core = backend.unsat_core();
+    break;
+  case sat::SolveStatus::Unknown:
+    result.status = CheckStatus::Unknown;
+    result.timed_out = backend.last_timed_out();
+    break;
+  }
   return result;
 }
 

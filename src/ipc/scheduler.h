@@ -1,14 +1,16 @@
-// CheckScheduler: fans the independent SAT queries of the Alg. 1 / Alg. 2
-// loops across a pool of worker solvers.
+// CheckScheduler: the one place SAT queries are posed. It owns a pool of
+// worker backends hydrated from the shared CnfStore and answers two kinds of
+// request: a saturating sweep over the independent queries of one Alg. 1 /
+// Alg. 2 iteration, fanned across the workers, and a single check on worker 0.
+// A run at threads == 1 is simply a scheduler with one worker.
 //
 // One UPEC iteration asks, for every state variable sv still in S: "can sv
 // differ at the target frame, given the equivalence assumptions?". These
 // queries share the entire transition-relation CNF and differ only in their
-// assumption sets, so the scheduler keeps W worker solvers hydrated from the
-// shared CnfStore and partitions the candidate variables round-robin into W
-// chunks, one per worker. Each worker resolves every candidate in its chunk
-// entirely on its own solver, keeping learned clauses across solves and
-// iterations.
+// assumption sets, so the scheduler partitions the candidate variables
+// round-robin into W chunks, one per worker. Each worker resolves every
+// candidate in its chunk entirely on its own solver, keeping learned clauses
+// across solves and iterations.
 //
 // Sweep discipline: every candidate has a persistent activation literal
 // registered once in the miter (Miter::register_candidates), and the worker
@@ -25,11 +27,16 @@
 // a new simplified generation, each worker keeps its learnt clauses, activity
 // and phases across the switch (sat/backend.h, InprocBackend::sync).
 //
+// Fan-out: only a scheduler whose backends hold more than one solver (several
+// workers, portfolio members or an external endpoint) pays for fan-out
+// machinery — worker threads, the clause channel and snapshot preprocessing.
+// A single in-proc worker runs inline on the calling thread on the raw store.
+//
 // Determinism: the set a chunk reports is {sv in chunk : diff(sv) satisfiable},
 // which is a purely semantic property — independent of which models the
 // worker's CDCL search happens to find, of thread scheduling, and of the
-// number of workers. The merged, sorted union is therefore bit-identical to
-// the single-solver saturation result for any thread count.
+// number of workers. The merged, sorted union is therefore bit-identical for
+// any thread count.
 //
 // Concurrency protocol: the encoder (diff/activation literals) runs only on
 // the calling thread between batches; workers only read the store (hydration)
@@ -46,7 +53,7 @@
 #include <vector>
 
 #include "encode/miter.h"
-#include "ipc/engine.h"
+#include "ipc/property.h"
 #include "sat/backend.h"
 #include "sat/pipe_backend.h"
 #include "sat/simplify.h"
@@ -122,6 +129,9 @@ struct SchedulerOptions {
   // is installed: the provider names every variable the sweeps will assume or
   // read back from worker models (the Simplifier soundness contract), so
   // preprocessing without one would be unsound and is treated as disabled.
+  // Also disabled when the backends hold a single solver: the simplified view
+  // then feeds nobody but one worker, and holding it next to the raw store
+  // roughly doubles a small run's peak memory.
   bool preprocess = true;
   sat::SimplifyOptions simplify;
   // Frozen-variable provider, called on the calling thread before each
@@ -140,7 +150,7 @@ struct SchedulerOptions {
 class CheckScheduler {
 public:
   // `options.threads` worker solvers, each with the given per-solve conflict
-  // budget. With sharing (and more than one worker), the workers exchange
+  // budget. With sharing (and more than one solver), the workers exchange
   // low-LBD learnt clauses through a ClauseChannel: exported at learn time,
   // imported only at each worker's restart boundaries. Sharing only adds
   // clauses already implied by the shared store, so it changes how fast a
@@ -160,6 +170,14 @@ public:
   SweepResult sweep(encode::Miter& miter, const std::vector<encode::Lit>& assumptions,
                     const std::vector<rtlir::StateVarId>& candidates, unsigned frame);
 
+  // One query on worker 0, on the calling thread, against the raw store —
+  // never the simplified view, because a single check's caller reads the
+  // model back on variables nobody froze (the waveform's state bits). On
+  // Violated the model is readable through backend(0); on Holds, `core` (if
+  // non-null) receives the refuting subset of the assumptions.
+  CheckResult check(const std::vector<encode::Lit>& assumptions,
+                    std::vector<encode::Lit>* core = nullptr);
+
   // Cumulative per-worker statistics (for report breakdowns).
   std::vector<sat::SolverStats> worker_stats() const;
   // Per-worker member breakdown: worker w's entry lists one SolverStats per
@@ -172,7 +190,8 @@ public:
   // workers; populated under portfolio/external backends).
   std::vector<sat::BackendHealth> worker_health() const;
 
-  // The worker backends (tests inspect portfolio/supervised internals).
+  // The worker backends. backend(0) answers check() and is the miter's model
+  // source; tests inspect portfolio/supervised internals through the others.
   sat::SolverBackend& backend(unsigned w) { return *backends_[w]; }
 
   // True iff snapshot preprocessing is active.

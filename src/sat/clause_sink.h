@@ -3,8 +3,8 @@
 //
 //  * ClauseSink — where Tseitin encoders emit variables and clauses. Both the
 //    live CDCL Solver and the recording CnfStore implement it, so the same
-//    encoding pass can drive a single incremental solver, a shared clause
-//    database for a pool of worker solvers, or both at once (TeeSink).
+//    encoding pass can drive a single incremental solver or a shared clause
+//    database that a pool of worker solvers hydrates from.
 //
 //  * ModelSource — where model values are read back after a satisfiable
 //    solve. Abstracting this lets the miter's counterexample inspection run
@@ -12,7 +12,6 @@
 //    encoded into.
 #pragma once
 
-#include <cassert>
 #include <vector>
 
 #include "sat/types.h"
@@ -39,41 +38,6 @@ public:
   virtual ~ModelSource() = default;
   // Value of a literal in the most recent satisfying assignment.
   virtual bool model_value(Lit l) const = 0;
-};
-
-// Fans every emission out to two sinks. The UPEC context tees the encode
-// layer into its main solver (always current, models readable immediately)
-// and the shared CnfStore (worker solvers hydrate from it on demand). Both
-// sinks must allocate identical variable numbering, which holds whenever they
-// start empty and receive every emission through the tee.
-class TeeSink final : public ClauseSink {
-public:
-  TeeSink(ClauseSink& primary, ClauseSink& secondary)
-      : primary_(primary), secondary_(secondary) {
-    assert(primary_.num_vars() == secondary_.num_vars());
-  }
-
-  Var new_var() override {
-    const Var v = primary_.new_var();
-    const Var w = secondary_.new_var();
-    assert(v == w);
-    (void)w;
-    return v;
-  }
-
-  bool add_clause(const std::vector<Lit>& lits) override {
-    const bool ok = primary_.add_clause(lits);
-    secondary_.add_clause(lits);
-    return ok;
-  }
-
-  using ClauseSink::add_clause;
-
-  int num_vars() const override { return primary_.num_vars(); }
-
-private:
-  ClauseSink& primary_;
-  ClauseSink& secondary_;
 };
 
 } // namespace upec::sat

@@ -1,8 +1,8 @@
 // Shared clause database for multi-solver verification.
 //
 // CnfStore is an append-only recording ClauseSink: the encode layer emits
-// into it (usually through a TeeSink that also feeds the main solver), and
-// any number of worker solvers hydrate from it. CnfSnapshot is an immutable
+// straight into it — in a UpecContext it is the only original copy of the
+// CNF — and any number of worker solvers hydrate from it. CnfSnapshot is an immutable
 // view of a store prefix — (num_vars, num_clauses) bounds taken at a point in
 // time — so a worker can be brought up to a well-defined cut of the formula
 // regardless of what the encoder appends afterwards. Incremental catch-up is

@@ -23,52 +23,45 @@ void collect_solver_usage(const UpecContext& ctx, SolverUsage& usage) {
 
   // Every aggregate below is a registry merge (util/metrics.h: counters sum,
   // gauges max) over per-component snapshots — there is exactly one place
-  // that defines how main + workers + portfolio members add up, and both
-  // `total` and `per_worker` are *derived* from the merged registry.
-  util::MetricsSnapshot main_m;
-  sat::append_metrics(main_m, ctx.solver.stats());
-  util::MetricsSnapshot total_m = main_m;
-  usage.metrics.merge_prefixed("sat.solver.main.", main_m);
-  usage.retained_learnts = ctx.solver.num_learnts();
-  // Clause-arena memory per solver. Gauges outside the sat.solver.* tree, so
-  // the counter identity total == main + sum of workers covers counters only.
-  usage.metrics.set_gauge("sat.arena_bytes.main", ctx.solver.arena_bytes());
-
-  if (ctx.scheduler) {
-    const std::vector<sat::SolverStats> worker_stats = ctx.scheduler->worker_stats();
-    usage.per_worker_members = ctx.scheduler->worker_member_stats();
-    usage.per_worker_health = ctx.scheduler->worker_health();
-    const std::vector<std::size_t> live = ctx.scheduler->worker_live_learnts();
-    const std::vector<std::size_t> arena = ctx.scheduler->worker_arena_bytes();
-    const unsigned W = ctx.scheduler->workers();
-    usage.per_worker.reserve(W);
-    for (unsigned w = 0; w < W; ++w) {
-      const std::string wp = "sat.solver.w" + std::to_string(w) + ".";
-      util::MetricsSnapshot wm;
-      const std::vector<sat::SolverStats>& members = usage.per_worker_members[w];
-      if (members.empty()) {
-        sat::append_metrics(wm, worker_stats[w]);
-      } else {
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          util::MetricsSnapshot mm;
-          sat::append_metrics(mm, members[m]);
-          usage.metrics.merge_prefixed(wp + "m" + std::to_string(m) + ".", mm);
-          wm.merge(mm);
-        }
+  // that defines how workers + portfolio members add up, and both `total`
+  // and `per_worker` are *derived* from the merged registry.
+  const ipc::CheckScheduler& sched = ctx.scheduler;
+  util::MetricsSnapshot total_m;
+  const std::vector<sat::SolverStats> worker_stats = sched.worker_stats();
+  usage.per_worker_members = sched.worker_member_stats();
+  usage.per_worker_health = sched.worker_health();
+  const std::vector<std::size_t> live = sched.worker_live_learnts();
+  const std::vector<std::size_t> arena = sched.worker_arena_bytes();
+  const unsigned W = sched.workers();
+  usage.per_worker.reserve(W);
+  for (unsigned w = 0; w < W; ++w) {
+    const std::string wp = "sat.solver.w" + std::to_string(w) + ".";
+    util::MetricsSnapshot wm;
+    const std::vector<sat::SolverStats>& members = usage.per_worker_members[w];
+    if (members.empty()) {
+      sat::append_metrics(wm, worker_stats[w]);
+    } else {
+      for (std::size_t m = 0; m < members.size(); ++m) {
+        util::MetricsSnapshot mm;
+        sat::append_metrics(mm, members[m]);
+        usage.metrics.merge_prefixed(wp + "m" + std::to_string(m) + ".", mm);
+        wm.merge(mm);
       }
-      usage.per_worker.push_back(sat::solver_stats_from_metrics(wm));
-      usage.metrics.merge_prefixed(wp, wm);
-      total_m.merge(wm);
-
-      util::MetricsSnapshot hm;
-      sat::append_metrics(hm, usage.per_worker_health[w]);
-      usage.metrics.merge_prefixed("sat.health.w" + std::to_string(w) + ".", hm);
-      usage.retained_learnts += live[w];
-      usage.metrics.set_gauge("sat.arena_bytes.w" + std::to_string(w), arena[w]);
     }
-    usage.simplify = ctx.scheduler->simplify_stats();
-    usage.metrics.add_counter("sat.channel.published", ctx.scheduler->shared_clauses());
+    usage.per_worker.push_back(sat::solver_stats_from_metrics(wm));
+    usage.metrics.merge_prefixed(wp, wm);
+    total_m.merge(wm);
+
+    util::MetricsSnapshot hm;
+    sat::append_metrics(hm, usage.per_worker_health[w]);
+    usage.metrics.merge_prefixed("sat.health.w" + std::to_string(w) + ".", hm);
+    usage.retained_learnts += live[w];
+    // Clause-arena memory per worker. Gauges outside the sat.solver.* tree,
+    // so the identity total == sum of workers covers counters only.
+    usage.metrics.set_gauge("sat.arena_bytes.w" + std::to_string(w), arena[w]);
   }
+  usage.simplify = sched.simplify_stats();
+  usage.metrics.add_counter("sat.channel.published", sched.shared_clauses());
   usage.total = sat::solver_stats_from_metrics(total_m);
   usage.metrics.merge_prefixed("sat.solver.total.", total_m);
 

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "ipc/cex.h"
-#include "ipc/engine.h"
+#include "ipc/property.h"
 #include "sat/backend.h"
 #include "sat/simplify.h"
 #include "upec/state_sets.h"
@@ -46,16 +46,16 @@ struct IterationLog {
   bool timed_out = false;
 };
 
-// Cumulative solver statistics behind a verification run: the context's main
-// solver plus, under threads > 1, every scheduler worker. Reports aggregate
-// `total` and can break down `per_worker`.
+// Cumulative solver statistics behind a verification run: every scheduler
+// worker (one at threads == 1). Reports aggregate `total` and can break down
+// `per_worker`.
 struct SolverUsage {
-  // Derived from `metrics` below: the sum of the main solver and every
-  // worker (which in turn is the sum of its portfolio members). All
+  // Derived from `metrics` below: the sum of every worker (which in turn is
+  // the sum of its portfolio members). All
   // aggregation is routed through MetricsSnapshot::merge in
   // collect_solver_usage — nothing sums stats ad hoc anymore.
   sat::SolverStats total;
-  std::vector<sat::SolverStats> per_worker;  // empty when no scheduler ran
+  std::vector<sat::SolverStats> per_worker;  // one entry per worker
   // Worker w's portfolio-member breakdown (parallel to per_worker; empty
   // inner vector = single-solver worker). Members sum to per_worker[w].
   std::vector<std::vector<sat::SolverStats>> per_worker_members;
@@ -67,17 +67,16 @@ struct SolverUsage {
   // Per-worker robustness counters (parallel to per_worker; all-zero entries
   // for plain in-proc workers, populated under portfolio/external backends).
   std::vector<sat::BackendHealth> per_worker_health;
-  // Snapshot-preprocessing counters (all zero with preprocessing off or no
-  // scheduler): real simplifications vs generation-cache reuses, eliminated
-  // variables, removed/strengthened clauses, and the last run's formula
-  // shrinkage (see sat/simplify.h).
+  // Snapshot-preprocessing counters (all zero with preprocessing off or a
+  // single-solver scheduler): real simplifications vs generation-cache
+  // reuses, eliminated variables, removed/strengthened clauses, and the last
+  // run's formula shrinkage (see sat/simplify.h).
   sat::SimplifyStats simplify;
   // The unified named-counter registry for the run: per-component snapshots
-  // under `sat.solver.main.`, `sat.solver.w<k>.`, `sat.solver.w<k>.m<j>.`,
-  // their merge under `sat.solver.total.`, plus `upec.*`, `sat.channel.*`,
-  // `sat.simplify.*`, `sat.health.w<k>.*`, and the clause-arena gauges
-  // `sat.arena_bytes.main` / `sat.arena_bytes.w<k>`. Counter naming and merge
-  // conventions: README "Observability".
+  // under `sat.solver.w<k>.`, `sat.solver.w<k>.m<j>.`, their merge under
+  // `sat.solver.total.`, plus `upec.*`, `sat.channel.*`, `sat.simplify.*`,
+  // `sat.health.w<k>.*`, and the clause-arena gauges `sat.arena_bytes.w<k>`.
+  // Counter naming and merge conventions: README "Observability".
   util::MetricsSnapshot metrics;
 };
 

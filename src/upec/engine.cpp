@@ -34,57 +34,47 @@ UpecContext::UpecContext(const soc::Soc& s, VerifyOptions opts)
                         : std::make_unique<util::trace::TraceSession>(options.trace_path)),
       svt(*s.design),
       store(),
-      solver(),
-      sink(solver, store),
-      miter(static_cast<sat::ClauseSink&>(sink), *s.design, svt,
+      miter(store, *s.design, svt,
             encode::MiterOptions{.per_instance = soc::Soc::is_cpu_interface,
                                  .shared_prefix = false}),
       macros(miter, s, options.macros),
       pers(svt, s),
-      engine(solver),
       run_deadline(options.deadline_ms > 0
                        ? std::optional(std::chrono::steady_clock::now() +
                                        std::chrono::milliseconds(options.deadline_ms))
                        : std::nullopt),
+      scheduler(store, scheduler_options()),
       s_pers(StateSet::none(svt)) {
-  if (options.threads > 1 || options.portfolio > 1 || !options.external_solver.empty()) {
-    ipc::SchedulerOptions so;
-    so.threads = options.threads;
-    so.conflict_budget = options.conflict_budget;
-    so.share_clauses = options.share_clauses;
-    so.portfolio = options.portfolio;
-    so.portfolio_seed = options.portfolio_seed;
-    so.external_argv = options.external_solver;
-    so.external_deadline_ms = options.external_deadline_ms;
-    so.supervise = options.supervise;
-    so.deadline = run_deadline;
-    so.preprocess = options.preprocess;
-    so.frozen_vars = [this] { return frozen_vars(); };
-    if (options.progress_conflicts > 0) {
-      so.progress_every = options.progress_conflicts;
-      so.progress = [cb = options.progress](unsigned w, const sat::SolverProgress& p) {
-        relay_progress(cb, "w" + std::to_string(w), p);
-      };
-    }
-    scheduler = std::make_unique<ipc::CheckScheduler>(store, std::move(so));
-  }
-  miter.set_model_source(&solver);
+  miter.set_model_source(&scheduler.backend(0));
   miter.set_exempt(
       [this](encode::Miter& m, rtlir::StateVarId sv) { return macros.exempt_for(m, sv); });
-  solver.set_conflict_budget(options.conflict_budget);
-  if (run_deadline) solver.set_deadline(*run_deadline);
-  if (options.progress_conflicts > 0) {
-    solver.set_progress_hook(
-        [cb = options.progress](const sat::SolverProgress& p) {
-          relay_progress(cb, "main", p);
-        },
-        options.progress_conflicts);
-  }
 
   StateSet base = pers.s_pers();
   for (rtlir::StateVarId sv : base.to_vector()) {
     if (!options.s_pers_filter || options.s_pers_filter(sv)) s_pers.insert(sv);
   }
+}
+
+ipc::SchedulerOptions UpecContext::scheduler_options() {
+  ipc::SchedulerOptions so;
+  so.threads = options.threads;
+  so.conflict_budget = options.conflict_budget;
+  so.share_clauses = options.share_clauses;
+  so.portfolio = options.portfolio;
+  so.portfolio_seed = options.portfolio_seed;
+  so.external_argv = options.external_solver;
+  so.external_deadline_ms = options.external_deadline_ms;
+  so.supervise = options.supervise;
+  so.deadline = run_deadline;
+  so.preprocess = options.preprocess;
+  so.frozen_vars = [this] { return frozen_vars(); };
+  if (options.progress_conflicts > 0) {
+    so.progress_every = options.progress_conflicts;
+    so.progress = [cb = options.progress](unsigned w, const sat::SolverProgress& p) {
+      relay_progress(cb, "w" + std::to_string(w), p);
+    };
+  }
+  return so;
 }
 
 std::vector<std::string> UpecContext::waveform_probes() const {

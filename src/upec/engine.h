@@ -1,5 +1,5 @@
 // UpecContext: assembles the full UPEC-SSC verification stack for one SoC —
-// miter, macros, persistence classification, IPC engine — and owns the
+// miter, macros, persistence classification, check scheduler — and owns the
 // verification entry points used by examples, tests and benchmarks.
 #pragma once
 
@@ -9,7 +9,6 @@
 #include <optional>
 
 #include "encode/miter.h"
-#include "ipc/engine.h"
 #include "util/trace.h"
 #include "ipc/scheduler.h"
 #include "sat/snapshot.h"
@@ -24,8 +23,8 @@ namespace upec {
 
 // One solver-progress heartbeat (see VerifyOptions::progress_conflicts).
 struct ProgressEvent {
-  // "main" for the main solver, "w<k>" for scheduler worker k. Portfolio
-  // members report under their host worker's label — member-level
+  // "w<k>" for scheduler worker k (a threads == 1 run reports as "w0").
+  // Portfolio members report under their host worker's label — member-level
   // attribution lives in the trace and the metrics registry instead.
   std::string source;
   std::uint64_t conflicts = 0;
@@ -40,10 +39,10 @@ struct VerifyOptions {
   MacroConfig macros;
   // Abort a single check after this many conflicts (0 = no limit).
   std::uint64_t conflict_budget = 0;
-  // Worker solvers for the per-state-variable checks of Alg. 1 / Alg. 2.
-  // 1 (default) keeps everything on the single incremental main solver;
-  // N > 1 fans each iteration across N solvers hydrated from the shared
-  // clause store. Results are bit-identical for every value (see
+  // Worker solvers for the per-state-variable checks of Alg. 1 / Alg. 2, all
+  // hydrated from the shared clause store. 1 (default) runs the single worker
+  // inline on the calling thread; N > 1 fans each iteration across N solvers
+  // on their own threads. Results are bit-identical for every value (see
   // ipc/scheduler.h).
   unsigned threads = 1;
   // Worker-to-worker learned-clause sharing (effective only at threads > 1):
@@ -80,8 +79,9 @@ struct VerifyOptions {
   // UpecContext::frozen_vars and survives preprocessing untouched, and all
   // other rewriting is consequence-only or model-reconstructible. Verdicts,
   // frontiers and waveforms are bit-identical with preprocessing on or off
-  // (pinned by test_determinism). Inert on the main solver and therefore at
-  // threads == 1 without portfolio/external — only worker hydration changes.
+  // (pinned by test_determinism). Inert when the scheduler holds a single
+  // solver (threads == 1 without portfolio/external): the simplified view
+  // would then double a small run's memory to feed one worker.
   bool preprocess = true;
   // External DIMACS solver command raced/consulted per worker under the
   // supervision policy below (sat/supervise.h): per-solve deadline, restart
@@ -101,11 +101,11 @@ struct VerifyOptions {
   // (pinned by test_determinism).
   std::string trace_path;
   // Progress heartbeat: every `progress_conflicts` conflicts each in-proc
-  // solver (main, workers, portfolio members) reports a ProgressEvent
+  // solver (workers, portfolio members) reports a ProgressEvent
   // through `progress`, and — when tracing — as `solver.<source>.conflicts`
   // counter samples in the trace. The callback fires on solving threads,
-  // concurrently at threads/portfolio > 1: it must be thread-safe and stay
-  // cheap. 0 (default) = off.
+  // concurrently at threads/portfolio > 1 (on the caller's thread at
+  // threads == 1): it must be thread-safe and stay cheap. 0 (default) = off.
   std::uint64_t progress_conflicts = 0;
   std::function<void(const ProgressEvent&)> progress;
 };
@@ -123,28 +123,22 @@ public:
   // race the flush.
   std::unique_ptr<util::trace::TraceSession> trace_session;
   rtlir::StateVarTable svt;
-  // Shared clause database: everything the encode layer emits is recorded
-  // here (through `sink`) so scheduler workers — and DIMACS exports — can be
-  // hydrated from an immutable snapshot at any point. Deliberately recorded
-  // even at threads == 1: the store is the canonical formula record (a
-  // threads-conditional store would make snapshot exports silently empty on
-  // default runs), at the cost of one uncontended lock + clause copy per
-  // emission and a duplicate of the CNF in memory.
+  // The only original copy of the CNF: the miter encodes straight into it,
+  // and every worker — and every DIMACS export — hydrates from an immutable
+  // snapshot of it.
   sat::CnfStore store;
-  sat::Solver solver; // main solver; always current via `sink`
-  sat::TeeSink sink;  // solver + store
   encode::Miter miter;
   SsMacros macros;
   PersistenceClassifier pers;
-  ipc::Engine engine;
   // UNSAT-core frontier pruner, fed by every saturating sweep.
   FrontierPruner pruner;
   // Absolute deadline derived from options.deadline_ms at construction
-  // (nullopt = unlimited); installed on the main solver and every worker.
+  // (nullopt = unlimited); installed on every worker backend.
   std::optional<std::chrono::steady_clock::time_point> run_deadline;
-  // Non-null iff any check needs fan-out machinery: options.threads > 1,
-  // options.portfolio > 1, or an external solver is configured.
-  std::unique_ptr<ipc::CheckScheduler> scheduler;
+  // Poses every query: sweeps fan out across its workers, single checks
+  // (waveforms, the non-saturating ablation) run on worker 0, whose model
+  // the miter reads back.
+  ipc::CheckScheduler scheduler;
   StateSet s_pers; // after filtering
 
   bool in_s_pers(rtlir::StateVarId sv) const { return s_pers.contains(sv); }
@@ -159,11 +153,17 @@ public:
 
   // The frozen-variable declaration handed to the scheduler's preprocessor
   // (see sat/simplify.h): the miter's named literals plus every encoded
-  // waveform-probe image bit. Waveform/counterexample extraction runs on the
-  // main (never simplified) solver, so freezing the probe images is defensive
-  // insurance rather than a live dependency — cheap, and it keeps the
-  // contract honest if a future caller reads probes from a worker model.
+  // waveform-probe image bit. Waveform/counterexample extraction reads the
+  // model of CheckScheduler::check, which never runs on the simplified view,
+  // so freezing the probe images is defensive insurance rather than a live
+  // dependency — cheap, and it keeps the contract honest if a future caller
+  // reads probes from a sweep model.
   std::vector<sat::Var> frozen_vars() const;
+
+private:
+  // Maps `options` (and run_deadline) onto the scheduler; runs in the
+  // constructor's initializer list, after both are set.
+  ipc::SchedulerOptions scheduler_options();
 };
 
 // Convenience wrappers: build a context and run the respective procedure.

@@ -36,13 +36,12 @@ void render_hits(std::ostringstream& os, const UpecContext& ctx,
   }
 }
 
-// Aggregated solver statistics: the main solver plus every scheduler worker
-// (the single context solver alone under-counts as soon as threads > 1).
+// Aggregated solver statistics: the sum over every scheduler worker.
 void render_solver_usage(std::ostringstream& os, const SolverUsage& usage) {
   const sat::SolverStats& t = usage.total;
-  os << "solver usage (main";
-  if (!usage.per_worker.empty()) os << " + " << usage.per_worker.size() << " workers";
-  os << "): " << t.solve_calls << " solves, " << t.conflicts << " conflicts, " << t.decisions
+  const std::size_t workers = usage.per_worker.size();
+  os << "solver usage (" << workers << (workers == 1 ? " worker): " : " workers): ")
+     << t.solve_calls << " solves, " << t.conflicts << " conflicts, " << t.decisions
      << " decisions, " << t.propagations << " propagations";
   if (t.exported_clauses != 0 || t.imported_clauses != 0) {
     os << ", shared clauses " << t.exported_clauses << " exported / " << t.imported_clauses

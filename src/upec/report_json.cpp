@@ -93,7 +93,7 @@ void write_names(util::JsonWriter& w, const UpecContext& ctx,
 void write_head(util::JsonWriter& w, const UpecContext& ctx, const char* algorithm,
                 Verdict verdict, bool timed_out, double total_seconds) {
   w.key("schema");
-  w.value("upec-report-v2");
+  w.value("upec-report-v3");
   w.key("algorithm");
   w.value(algorithm);
   w.key("verdict");

@@ -4,7 +4,7 @@
 //
 // Schema (stable key order, see README "Observability"):
 //   {
-//     "schema": "upec-report-v2",
+//     "schema": "upec-report-v3",
 //     "algorithm": "alg1" | "alg2",
 //     "verdict": "secure" | "vulnerable" | "unknown",
 //     "timed_out": bool,
@@ -17,6 +17,8 @@
 //     "waveform": bool,                      // a waveform was extracted
 //     "final_s_size": n,                     // alg1 only
 //     "final_k": n, "induction": {...}|null, // alg2 only
+//     "state_vars": n,
+//     "workers": n,                          // scheduler workers, >= 1
 //     "metrics": { "<counter name>": n, ... } // SolverUsage::metrics, flat
 //   }
 //

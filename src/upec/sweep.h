@@ -4,11 +4,11 @@
 // assumptions } — the complete influence frontier of the victim at that
 // frame. Candidates whose recorded UNSAT core still refutes them are pruned
 // up front (upec/incremental.h); the rest are queried one candidate per
-// solve through persistent activation literals. Without a scheduler the
-// queries run on the context's main solver; with one they fan out across its
-// worker pool. Both return the same sorted sets (the result is semantic, see
-// ipc/scheduler.h), which is what makes multi-threaded runs bit-identical to
-// single-threaded ones.
+// solve through persistent activation literals, fanned out across the
+// context scheduler's workers (one worker, inline, at threads == 1). The
+// result is semantic (see ipc/scheduler.h), which is what makes
+// multi-threaded runs bit-identical to single-threaded ones. The
+// non-saturating ablation instead poses one CheckScheduler::check.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "ipc/cex.h"
-#include "ipc/engine.h"
 #include "ipc/scheduler.h"
 #include "upec/state_sets.h"
 
@@ -46,10 +45,10 @@ struct SweepOutcome {
 SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assumptions,
                          const StateSet& S, unsigned frame, bool saturate);
 
-// Vulnerable-verdict epilogue: re-solves on the context's main solver with a
-// violation restricted to the persistent hits (each is individually
-// satisfiable, so the solve succeeds barring a budget interrupt) and extracts
-// the counterexample waveform from that model. Accounts the solve into `log`
+// Vulnerable-verdict epilogue: one CheckScheduler::check with a violation
+// restricted to the persistent hits (each is individually satisfiable, so the
+// solve succeeds barring a budget interrupt), then extracts the
+// counterexample waveform from worker 0's model. Accounts the solve into `log`
 // and `total_seconds`.
 std::optional<ipc::Waveform> extract_pers_waveform(UpecContext& ctx,
                                                    const std::vector<encode::Lit>& assumptions,
@@ -58,8 +57,8 @@ std::optional<ipc::Waveform> extract_pers_waveform(UpecContext& ctx,
 
 struct SolverUsage;
 
-// Fills `usage` with the context solver's statistics plus every scheduler
-// worker's (aggregate + per-worker breakdown).
+// Fills `usage` with every scheduler worker's statistics (aggregate +
+// per-worker breakdown).
 void collect_solver_usage(const UpecContext& ctx, SolverUsage& usage);
 
 } // namespace upec

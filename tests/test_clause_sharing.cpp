@@ -192,8 +192,7 @@ TEST(ClauseSharing, SharingProducesTrafficAndConsistentCounters) {
   EXPECT_GT(imported, 0u);
   EXPECT_EQ(result.stats.total.exported_clauses, exported);
   EXPECT_EQ(result.stats.total.imported_clauses, imported);
-  ASSERT_NE(ctx.scheduler, nullptr);
-  EXPECT_EQ(ctx.scheduler->shared_clauses(), exported);
+  EXPECT_EQ(ctx.scheduler.shared_clauses(), exported);
 
   const std::string report = render_report(ctx, result);
   EXPECT_NE(report.find("shared clauses"), std::string::npos) << report;
@@ -210,8 +209,7 @@ TEST(ClauseSharing, SharingOffPublishesNothing) {
   opts.extract_waveform = false;
   const Alg1Result result = run_alg1(ctx, opts);
   EXPECT_EQ(result.verdict, Verdict::Secure);
-  ASSERT_NE(ctx.scheduler, nullptr);
-  EXPECT_EQ(ctx.scheduler->shared_clauses(), 0u);
+  EXPECT_EQ(ctx.scheduler.shared_clauses(), 0u);
   EXPECT_EQ(result.stats.total.exported_clauses, 0u);
   EXPECT_EQ(result.stats.total.imported_clauses, 0u);
 }

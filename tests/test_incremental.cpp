@@ -18,6 +18,11 @@ namespace {
 
 sat::Lit pos(sat::Var v) { return sat::Lit(v, false); }
 
+// One query through the context's scheduler: true iff satisfiable.
+bool solve(UpecContext& ctx, const std::vector<encode::Lit>& as) {
+  return ctx.scheduler.check(as).status == ipc::CheckStatus::Violated;
+}
+
 soc::Soc tiny_soc() {
   soc::SocConfig cfg;
   cfg.pub_ram_words = 8;
@@ -71,14 +76,14 @@ TEST(IncrementalSweeps, ActivationSelectionMatchesDirectDiffQueries) {
   // Empty selection closes the whole group disjunction: UNSAT.
   std::vector<encode::Lit> as;
   ctx.miter.select_candidates(kFrame, {}, as);
-  EXPECT_FALSE(ctx.solver.solve(as));
+  EXPECT_FALSE(solve(ctx, as));
 
   // Per-candidate selection answers exactly like assuming the diff literal.
   for (rtlir::StateVarId sv : candidates) {
-    const bool direct = ctx.solver.solve({ctx.miter.diff_literal(sv, kFrame)});
+    const bool direct = solve(ctx, {ctx.miter.diff_literal(sv, kFrame)});
     as.clear();
     ctx.miter.select_candidates(kFrame, {sv}, as);
-    EXPECT_EQ(ctx.solver.solve(as), direct) << "sv " << sv;
+    EXPECT_EQ(solve(ctx, as), direct) << "sv " << sv;
   }
 
   // Late registration extends the chain without re-encoding old members.
@@ -87,10 +92,10 @@ TEST(IncrementalSweeps, ActivationSelectionMatchesDirectDiffQueries) {
   ctx.miter.register_candidates(all, kFrame);
   as.clear();
   ctx.miter.select_candidates(kFrame, {}, as);
-  EXPECT_FALSE(ctx.solver.solve(as));
+  EXPECT_FALSE(solve(ctx, as));
   as.clear();
   ctx.miter.select_candidates(kFrame, all, as);
-  EXPECT_TRUE(ctx.solver.solve(as));
+  EXPECT_TRUE(solve(ctx, as));
 }
 
 TEST(IncrementalSweeps, SchedulerSweepsStopGrowingTheStore) {
@@ -101,7 +106,6 @@ TEST(IncrementalSweeps, SchedulerSweepsStopGrowingTheStore) {
   VerifyOptions options = countermeasure_options();
   options.threads = 2;
   UpecContext ctx(soc, options);
-  ASSERT_NE(ctx.scheduler, nullptr);
 
   const StateSet S = s_not_victim(ctx.svt);
   std::vector<encode::Lit> assumptions = ctx.macros.assumptions(1);
@@ -109,10 +113,10 @@ TEST(IncrementalSweeps, SchedulerSweepsStopGrowingTheStore) {
     assumptions.push_back(ctx.miter.eq_assumption(sv));
   }
 
-  const ipc::SweepResult r1 = ctx.scheduler->sweep(ctx.miter, assumptions, S.to_vector(), 1);
-  const int n1 = ctx.solver.num_vars();
-  const ipc::SweepResult r2 = ctx.scheduler->sweep(ctx.miter, assumptions, S.to_vector(), 1);
-  const int n2 = ctx.solver.num_vars();
+  const ipc::SweepResult r1 = ctx.scheduler.sweep(ctx.miter, assumptions, S.to_vector(), 1);
+  const int n1 = ctx.store.num_vars();
+  const ipc::SweepResult r2 = ctx.scheduler.sweep(ctx.miter, assumptions, S.to_vector(), 1);
+  const int n2 = ctx.store.num_vars();
 
   EXPECT_EQ(r1.status, r2.status);
   EXPECT_EQ(r1.differing, r2.differing);

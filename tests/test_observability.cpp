@@ -1,6 +1,6 @@
 // Observability stack: the JSON writer/parser pair, the unified metrics
 // registry and its aggregation identities, the Chrome trace-event stream,
-// the upec-report-v2 JSON report, and the solver progress hooks.
+// the upec-report-v3 JSON report, and the solver progress hooks.
 //
 // The parse-back tests use the strict util::parse_json reader deliberately:
 // every artifact the engine emits must survive a reader that rejects
@@ -204,7 +204,7 @@ TEST(MetricsAggregation, TotalsEqualSumOfPartsUnderPortfolio) {
   ASSERT_EQ(r.stats.per_worker.size(), 2u);
   ASSERT_EQ(r.stats.per_worker_members.size(), 2u);
   for (const char* leaf : leaves) {
-    // total = main + sum of workers, in the registry itself.
+    // total = sum of workers, in the registry itself.
     std::uint64_t worker_sum = 0;
     for (unsigned w = 0; w < 2; ++w) {
       const std::string wp = "sat.solver.w" + std::to_string(w) + ".";
@@ -218,9 +218,7 @@ TEST(MetricsAggregation, TotalsEqualSumOfPartsUnderPortfolio) {
       }
       EXPECT_EQ(m.get(wp + leaf), member_sum) << wp << leaf;
     }
-    EXPECT_EQ(m.get(std::string("sat.solver.total.") + leaf),
-              m.get(std::string("sat.solver.main.") + leaf) + worker_sum)
-        << leaf;
+    EXPECT_EQ(m.get(std::string("sat.solver.total.") + leaf), worker_sum) << leaf;
   }
   // The typed structs are derived from the same registry — they must agree
   // with it, and member rows must sum to their worker row.
@@ -247,13 +245,13 @@ TEST(MetricsAggregation, ArenaGaugesCoverEverySolver) {
   const Alg1Result r = run_alg1(ctx, opts);
   const util::MetricsSnapshot& m = r.stats.metrics;
   ASSERT_EQ(r.stats.per_worker.size(), 2u);
-  for (const char* name : {"sat.arena_bytes.main", "sat.arena_bytes.w0", "sat.arena_bytes.w1"}) {
+  for (const char* name : {"sat.arena_bytes.w0", "sat.arena_bytes.w1"}) {
     ASSERT_TRUE(m.has(name)) << name;
     EXPECT_EQ(m.entries().at(name).kind, util::MetricKind::Gauge) << name;
     EXPECT_GT(m.get(name), 0u) << name;
   }
   // Gauges stay out of the sat.solver.* tree, whose totals sum counters.
-  EXPECT_EQ(m.filtered({"sat.arena_bytes."}).size(), 3u);
+  EXPECT_EQ(m.filtered({"sat.arena_bytes."}).size(), 2u);
   const util::MetricsSnapshot solver_tree = m.filtered({"sat.solver."});
   for (const auto& [name, entry] : solver_tree.entries()) {
     EXPECT_EQ(entry.kind, util::MetricKind::Counter) << name;
@@ -267,10 +265,10 @@ TEST(MetricsAggregation, SingleSolverRunHasNoWorkerEntries) {
   opts.extract_waveform = false;
   const Alg1Result r = run_alg1(ctx, opts);
   const util::MetricsSnapshot& m = r.stats.metrics;
-  EXPECT_TRUE(r.stats.per_worker.empty());
-  EXPECT_FALSE(m.has("sat.solver.w0.conflicts"));
-  EXPECT_EQ(m.get("sat.solver.total.conflicts"), m.get("sat.solver.main.conflicts"));
-  EXPECT_EQ(r.stats.total.conflicts, m.get("sat.solver.main.conflicts"));
+  EXPECT_EQ(r.stats.per_worker.size(), 1u);
+  EXPECT_FALSE(m.has("sat.solver.w1.conflicts"));
+  EXPECT_EQ(m.get("sat.solver.total.conflicts"), m.get("sat.solver.w0.conflicts"));
+  EXPECT_EQ(r.stats.total.conflicts, m.get("sat.solver.w0.conflicts"));
 }
 
 // ---------------------------------------------------------------------------
@@ -408,7 +406,7 @@ TEST(JsonReport, Alg1ReportParsesBackAndMatchesResult) {
   util::JsonValue v;
   std::string error;
   ASSERT_TRUE(util::parse_json(doc, v, &error)) << error;
-  EXPECT_EQ(v.find("schema")->string, "upec-report-v2");
+  EXPECT_EQ(v.find("schema")->string, "upec-report-v3");
   EXPECT_EQ(v.find("algorithm")->string, "alg1");
   EXPECT_EQ(v.find("verdict")->string, verdict_name(r.verdict));
   EXPECT_EQ(v.find("timed_out")->boolean, r.timed_out);
@@ -459,7 +457,7 @@ TEST(JsonReport, Alg2ReportParsesBack) {
   util::JsonValue v;
   std::string error;
   ASSERT_TRUE(util::parse_json(render_json(ctx, r), v, &error)) << error;
-  EXPECT_EQ(v.find("schema")->string, "upec-report-v2");
+  EXPECT_EQ(v.find("schema")->string, "upec-report-v3");
   EXPECT_EQ(v.find("algorithm")->string, "alg2");
   EXPECT_EQ(v.find("verdict")->string, verdict_name(r.verdict));
   EXPECT_EQ(v.find("final_k")->number, static_cast<double>(r.final_k));
@@ -513,7 +511,7 @@ TEST(ProgressHook, FiresAtCadenceWithCumulativeCounters) {
   ASSERT_FALSE(events.empty());
   std::uint64_t last = 0;
   for (const ProgressEvent& ev : events) {
-    EXPECT_EQ(ev.source, "main"); // threads == 1: only the main solver solves
+    EXPECT_EQ(ev.source, "w0"); // threads == 1: the single worker solves
     EXPECT_GT(ev.conflicts, 0u);
     EXPECT_EQ(ev.conflicts % 256, 0u) << "cadence is a conflict-count multiple";
     EXPECT_GT(ev.conflicts, last) << "cumulative counter must increase";
@@ -545,7 +543,7 @@ TEST(ProgressHook, WorkersReportUnderTheirLabel) {
 
   ASSERT_FALSE(per_source.empty());
   for (const auto& [source, conflicts] : per_source) {
-    EXPECT_TRUE(source == "main" || source == "w0" || source == "w1") << source;
+    EXPECT_TRUE(source == "w0" || source == "w1") << source;
     EXPECT_GT(conflicts, 0u);
   }
   // The sweep work happens on the workers; at least one must have reported.

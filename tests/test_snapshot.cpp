@@ -1,6 +1,6 @@
 // The shared clause database under the multi-solver architecture:
-// CnfStore/CnfSnapshot recording + hydration, TeeSink lockstep, the
-// InprocBackend sync protocol, and the snapshot DIMACS export of a full
+// CnfStore/CnfSnapshot recording + hydration, the InprocBackend sync
+// protocol, and the snapshot DIMACS export of a full
 // miter encoding (round-tripped through read_dimacs and cross-checked
 // against an in-process solve of the same query).
 #include <gtest/gtest.h>
@@ -80,27 +80,6 @@ TEST(CnfSnapshot, CursorReplaysOnlyTheDelta) {
   EXPECT_FALSE(solver.model_value(a));
   EXPECT_TRUE(solver.model_value(b));
   EXPECT_TRUE(solver.model_value(c));
-}
-
-TEST(TeeSink, KeepsSolverAndStoreInLockstep) {
-  sat::CnfStore store;
-  sat::Solver solver;
-  sat::TeeSink tee(solver, store);
-
-  const Var a = tee.new_var();
-  const Var b = tee.new_var();
-  tee.add_clause(Lit(a, false), Lit(b, false));
-  tee.add_clause(Lit(a, true), Lit(b, true));
-  EXPECT_EQ(solver.num_vars(), store.num_vars());
-  EXPECT_EQ(store.num_clauses(), 2u);
-
-  // A solver hydrated from the store answers exactly like the tee'd one.
-  sat::Solver replica;
-  store.snapshot().load_into(replica);
-  for (const bool a_true : {false, true}) {
-    const std::vector<Lit> as{Lit(a, !a_true)};
-    EXPECT_EQ(solver.solve(as), replica.solve(as));
-  }
 }
 
 TEST(InprocBackend, SyncSolveAndModel) {
