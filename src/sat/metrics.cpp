@@ -48,6 +48,8 @@ void append_metrics(util::MetricsSnapshot& out, const SimplifyStats& stats) {
   out.add_counter("subsumed_clauses", stats.subsumed_clauses);
   out.add_counter("wall_us",
                   static_cast<std::uint64_t>(std::llround(stats.seconds * 1e6)));
+  out.set_gauge("db_bytes", stats.db_bytes);
+  out.set_gauge("elim_bytes", stats.elim_bytes);
   out.set_gauge("input_clauses", stats.input_clauses);
   out.set_gauge("input_literals", stats.input_literals);
   out.set_gauge("input_vars", static_cast<std::uint64_t>(

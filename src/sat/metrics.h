@@ -22,8 +22,9 @@ void append_metrics(util::MetricsSnapshot& out, const SolverStats& stats);
 SolverStats solver_stats_from_metrics(const util::MetricsSnapshot& snap,
                                       const std::string& prefix = "");
 
-// SimplifyStats: activity fields are counters; last-run formula sizes are
-// gauges; `seconds` becomes the `wall_us` counter (integral microseconds).
+// SimplifyStats: activity fields are counters; last-run formula sizes and
+// the memory readings (`db_bytes`, `elim_bytes`) are gauges; `seconds`
+// becomes the `wall_us` counter (integral microseconds).
 void append_metrics(util::MetricsSnapshot& out, const SimplifyStats& stats);
 
 // BackendHealth (call-site prefix, e.g. `sat.health.w3.`); `quarantined` is

@@ -1,6 +1,7 @@
 #include "sat/simplify.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <utility>
 
@@ -10,17 +11,31 @@ namespace upec::sat {
 
 namespace {
 
-std::uint64_t sig_of(const Clause& lits) {
+using Lits = std::span<const Lit>;
+
+std::uint64_t sig_of(Lits lits) {
   std::uint64_t s = 0;
   for (Lit l : lits) s |= 1ull << (static_cast<std::uint32_t>(l.index()) & 63u);
   return s;
+}
+
+template <class T>
+std::size_t reserved_bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+} // namespace
+
+std::size_t Simplifier::ElimStack::bytes() const {
+  return reserved_bytes(vars) + reserved_bytes(first) + reserved_bytes(starts) +
+         reserved_bytes(lits);
 }
 
 // One simplification run's working state: occurrence-list clause database
 // with root-level assignments, a subsumption work queue, and the elimination
 // record. Every pass iterates in a fixed order and every budget is an
 // operation counter, so the run is a pure function of its input.
-struct Work {
+struct Simplifier::Work {
   const SimplifyOptions& opt;
   SimplifyStats& stats;
 
@@ -29,11 +44,19 @@ struct Work {
   std::vector<LBool> assigns;
   std::vector<char> eliminated;
 
+  // Clause database: every literal lives in `arena`; a clause is the slice
+  // arena[start, start + size), sorted by Lit::index(), deduplicated, never
+  // tautological. Shrinking edits the slice in place and deletion only sets
+  // the flag, so slices never move — but add_clause may reallocate the
+  // arena, so no pointer into it is held across add_clause.
   struct Cls {
-    Clause lits;  // sorted by Lit::index(), deduplicated, never tautological
-    std::uint64_t sig = 0;
-    bool deleted = false;
+    std::uint64_t sig;
+    std::uint32_t start;
+    std::uint32_t size : 31;
+    std::uint32_t deleted : 1;
   };
+  static_assert(sizeof(Cls) == 16);
+  std::vector<Lit> arena;
   std::vector<Cls> clauses;
   std::vector<std::vector<std::uint32_t>> occ;  // literal index -> clause ids
 
@@ -41,15 +64,16 @@ struct Work {
   std::vector<std::uint32_t> subq;  // clauses to (re)consider for subsumption
   std::vector<char> in_subq;
 
-  std::vector<std::pair<Var, std::vector<Clause>>> elim;  // reconstruction stack
+  ElimStack elim;  // reconstruction stack
   std::vector<Lit> probe_trail;
 
   // Reusable scratch. occ_buf holds a copy of an occurrence list that the
   // loop walking it mutates (propagate, backward/self subsumption; a
   // committed elimination's pos then neg lists); resolvent is the output of
-  // resolve().
+  // resolve(); sorted is add_clause's normalization buffer.
   std::vector<std::uint32_t> occ_buf;
   Clause resolvent;
+  Clause sorted;
 
   bool unsat = false;
   bool changed = false;
@@ -72,6 +96,16 @@ struct Work {
     return l.sign() ? lbool_not(v) : v;
   }
 
+  Lits lits(const Cls& c) const { return {arena.data() + c.start, c.size}; }
+
+  // Peak reserved bytes of the database: nothing in it ever shrinks its
+  // capacity during a run, so the current reading is the peak.
+  std::size_t db_bytes() const {
+    std::size_t n = reserved_bytes(arena) + reserved_bytes(clauses) + reserved_bytes(occ);
+    for (const auto& list : occ) n += reserved_bytes(list);
+    return n;
+  }
+
   void occ_remove(std::int32_t lit_index, std::uint32_t cid) {
     std::vector<std::uint32_t>& list = occ[static_cast<std::size_t>(lit_index)];
     auto it = std::find(list.begin(), list.end(), cid);
@@ -85,9 +119,36 @@ struct Work {
     Cls& c = clauses[cid];
     if (c.deleted) return;
     c.deleted = true;
-    for (Lit l : c.lits) occ_remove(l.index(), cid);
-    c.lits.clear();
-    c.lits.shrink_to_fit();
+    for (Lit l : lits(c)) occ_remove(l.index(), cid);
+  }
+
+  // Removes `x` from clause `cid`'s slice, keeping the rest in order, and
+  // refreshes its signature and occurrence lists. False if `x` is absent.
+  bool remove_lit(std::uint32_t cid, Lit x) {
+    Cls& c = clauses[cid];
+    Lit* const begin = arena.data() + c.start;
+    Lit* const end = begin + c.size;
+    Lit* const it = std::find(begin, end, x);
+    if (it == end) return false;
+    std::copy(it + 1, end, it);
+    --c.size;
+    occ_remove(x.index(), cid);
+    c.sig = sig_of(lits(c));
+    return true;
+  }
+
+  // After a literal was removed from `cid`: an empty clause refutes the
+  // formula (returns false), a unit is enqueued, and a non-empty clause is
+  // re-queued for subsumption.
+  bool shrunk(std::uint32_t cid) {
+    const Cls& c = clauses[cid];
+    if (c.size == 0) {
+      unsat = true;
+      return false;
+    }
+    if (c.size == 1) enqueue_unit(arena[c.start]);
+    push_subq(cid);
+    return true;
   }
 
   void push_subq(std::uint32_t cid) {
@@ -110,34 +171,46 @@ struct Work {
   }
 
   // Normalizes and stores a clause: sort, dedup, drop tautologies and
-  // satisfied clauses, strip false literals, route units to the queue.
-  void add_clause(Clause c) {
+  // satisfied clauses, strip false literals, route units to the queue. The
+  // normalized literals are written straight onto the arena's tail, which is
+  // rolled back when the clause is not stored. `c` must not point into the
+  // arena.
+  void add_clause(Lits c) {
     if (unsat) return;
-    std::sort(c.begin(), c.end());
-    Clause f;
-    f.reserve(c.size());
-    for (Lit l : c) {
+    sorted.assign(c.begin(), c.end());
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t start = arena.size();
+    assert(start <= UINT32_MAX - sorted.size());
+    for (Lit l : sorted) {
       const LBool v = value(l);
-      if (v == LBool::True) return;  // satisfied at root
+      if (v == LBool::True) {  // satisfied at root
+        arena.resize(start);
+        return;
+      }
       if (v == LBool::False) continue;
-      if (!f.empty() && f.back() == l) continue;            // duplicate literal
-      if (!f.empty() && f.back().var() == l.var()) return;  // tautology (l, ~l)
-      f.push_back(l);
+      if (arena.size() > start && arena.back() == l) continue;  // duplicate literal
+      if (arena.size() > start && arena.back().var() == l.var()) {  // tautology (l, ~l)
+        arena.resize(start);
+        return;
+      }
+      arena.push_back(l);
     }
-    if (f.empty()) {
+    const std::size_t size = arena.size() - start;
+    if (size == 0) {
       unsat = true;
       return;
     }
-    if (f.size() == 1) {
-      enqueue_unit(f[0]);
+    if (size == 1) {
+      const Lit unit = arena[start];
+      arena.resize(start);
+      enqueue_unit(unit);
       return;
     }
     const auto cid = static_cast<std::uint32_t>(clauses.size());
-    Cls cls;
-    cls.sig = sig_of(f);
-    cls.lits = std::move(f);
-    for (Lit l : cls.lits) occ[static_cast<std::size_t>(l.index())].push_back(cid);
-    clauses.push_back(std::move(cls));
+    const Cls cls{sig_of(Lits(arena).subspan(start)), static_cast<std::uint32_t>(start),
+                  static_cast<std::uint32_t>(size), 0};
+    for (Lit l : lits(cls)) occ[static_cast<std::size_t>(l.index())].push_back(cid);
+    clauses.push_back(cls);
     in_subq.push_back(0);
     push_subq(cid);
   }
@@ -152,19 +225,8 @@ struct Work {
       for (std::uint32_t cid : occ_buf) detach(cid);
       occ_buf = occ[static_cast<std::size_t>((~l).index())];
       for (std::uint32_t cid : occ_buf) {
-        Cls& d = clauses[cid];
-        if (d.deleted) continue;
-        auto it = std::find(d.lits.begin(), d.lits.end(), ~l);
-        if (it == d.lits.end()) continue;
-        d.lits.erase(it);
-        occ_remove((~l).index(), cid);
-        d.sig = sig_of(d.lits);
-        if (d.lits.empty()) {
-          unsat = true;
-          return;
-        }
-        if (d.lits.size() == 1) enqueue_unit(d.lits[0]);
-        push_subq(cid);
+        if (clauses[cid].deleted || !remove_lit(cid, ~l)) continue;
+        if (!shrunk(cid)) return;
       }
     }
     if (!unsat) unit_queue.clear();
@@ -180,7 +242,7 @@ struct Work {
   }
 
   // a ⊆ b over index-sorted clauses.
-  static bool subset(const Clause& a, const Clause& b) {
+  static bool subset(Lits a, Lits b) {
     std::size_t i = 0, j = 0;
     while (i < a.size() && j < b.size()) {
       if (a[i].index() == b[j].index()) {
@@ -196,7 +258,7 @@ struct Work {
   }
 
   // (a \ {a[skip]}) ⊆ b.
-  static bool subset_except(const Clause& a, std::size_t skip, const Clause& b) {
+  static bool subset_except(Lits a, std::size_t skip, Lits b) {
     std::size_t i = 0, j = 0;
     while (i < a.size() && j < b.size()) {
       if (i == skip) {
@@ -216,27 +278,17 @@ struct Work {
   }
 
   void strengthen(std::uint32_t cid, Lit drop) {
-    Cls& d = clauses[cid];
-    auto it = std::find(d.lits.begin(), d.lits.end(), drop);
-    if (it == d.lits.end()) return;
-    d.lits.erase(it);
-    occ_remove(drop.index(), cid);
-    d.sig = sig_of(d.lits);
+    if (!remove_lit(cid, drop)) return;
     ++stats.strengthened_clauses;
     changed = true;
-    if (d.lits.empty()) {
-      unsat = true;
-      return;
-    }
-    if (d.lits.size() == 1) enqueue_unit(d.lits[0]);
-    push_subq(cid);
+    shrunk(cid);
   }
 
   // Backward subsumption: delete every clause that contains `cid` entirely.
-  // Only other clauses are detached and `clauses` does not grow, so `c`
-  // stays valid; the candidate list is copied because detach edits it.
+  // Only other clauses are detached and nothing is added, so `c` stays
+  // valid; the candidate list is copied because detach edits it.
   void backward_subsume(std::uint32_t cid) {
-    const Clause& c = clauses[cid].lits;
+    const Lits c = lits(clauses[cid]);
     const std::uint64_t sig = clauses[cid].sig;
     std::size_t best = 0;
     for (std::size_t i = 1; i < c.size(); ++i) {
@@ -249,10 +301,10 @@ struct Work {
     for (std::uint32_t did : occ_buf) {
       if (did == cid) continue;
       const Cls& d = clauses[did];
-      if (d.deleted || d.lits.size() < c.size()) continue;
+      if (d.deleted || d.size < c.size()) continue;
       if ((sig & ~d.sig) != 0) continue;
-      if (!spend(sub_budget, c.size() + d.lits.size())) return;
-      if (subset(c, d.lits)) {
+      if (!spend(sub_budget, c.size() + d.size)) return;
+      if (subset(c, lits(d))) {
         detach(did);
         ++stats.subsumed_clauses;
         changed = true;
@@ -263,10 +315,10 @@ struct Work {
   // Self-subsuming resolution: for each literal l of `cid`, strengthen every
   // clause D ⊇ (C \ {l}) ∪ {~l} by removing ~l (the resolvent of C and D on
   // l subsumes D). Only clauses containing ~l are strengthened, never `cid`
-  // itself, so `c` stays valid; each candidate list is copied because
-  // strengthening edits it.
+  // itself, and nothing is added, so `c` stays valid; each candidate list is
+  // copied because strengthening edits it.
   void self_subsume(std::uint32_t cid) {
-    const Clause& c = clauses[cid].lits;
+    const Lits c = lits(clauses[cid]);
     for (std::size_t i = 0; i < c.size() && !unsat; ++i) {
       const Lit l = c[i];
       std::uint64_t sig = 1ull << (static_cast<std::uint32_t>((~l).index()) & 63u);
@@ -276,10 +328,10 @@ struct Work {
       occ_buf = occ[static_cast<std::size_t>((~l).index())];
       for (std::uint32_t did : occ_buf) {
         const Cls& d = clauses[did];
-        if (d.deleted || d.lits.size() < c.size()) continue;
+        if (d.deleted || d.size < c.size()) continue;
         if ((sig & ~d.sig) != 0) continue;
-        if (!spend(sub_budget, c.size() + d.lits.size())) return;
-        if (subset_except(c, i, d.lits)) {
+        if (!spend(sub_budget, c.size() + d.size)) return;
+        if (subset_except(c, i, lits(d))) {
           strengthen(did, ~l);
           if (unsat) return;
         }
@@ -307,7 +359,7 @@ struct Work {
 
   // Resolvent of a (contains v positive) and b (contains v negative) on v.
   // Returns false for tautological resolvents.
-  bool resolve(const Clause& a, const Clause& b, Var v, Clause& out) const {
+  bool resolve(Lits a, Lits b, Var v, Clause& out) const {
     out.clear();
     std::size_t i = 0, j = 0;
     while (i < a.size() || j < b.size()) {
@@ -341,31 +393,36 @@ struct Work {
     std::size_t resolvents = 0;
     for (std::uint32_t p : pos) {
       for (std::uint32_t n : neg) {
-        if (!resolve(clauses[p].lits, clauses[n].lits, v, resolvent)) continue;
+        if (!resolve(lits(clauses[p]), lits(clauses[n]), v, resolvent)) continue;
         if (++resolvents > limit) return;  // would grow the formula: skip
       }
     }
 
-    // Commit: save the removed clauses for model reconstruction, replace
-    // them with the resolvents. Detaching edits the occurrence lists, so
-    // they are copied first; the resolvents are rebuilt from the saved
-    // copies, in the same order as they were counted.
+    // Commit: save the removed clauses onto the reconstruction stack,
+    // replace them with the resolvents. Detaching edits the occurrence
+    // lists, so they are copied first; the resolvents are rebuilt from the
+    // saved copies (which add_clause never moves), in the same order as they
+    // were counted.
     const std::size_t num_pos = pos.size();
     occ_buf.assign(pos.begin(), pos.end());
     occ_buf.insert(occ_buf.end(), neg.begin(), neg.end());
-    std::vector<Clause> saved;
-    saved.reserve(occ_buf.size());
-    for (std::uint32_t cid : occ_buf) saved.push_back(clauses[cid].lits);
-    elim.emplace_back(v, std::move(saved));
+    const std::size_t first = elim.starts.size();
+    elim.vars.push_back(v);
+    elim.first.push_back(static_cast<std::uint32_t>(first));
+    for (std::uint32_t cid : occ_buf) {
+      const Lits c = lits(clauses[cid]);
+      elim.starts.push_back(static_cast<std::uint32_t>(elim.lits.size()));
+      elim.lits.insert(elim.lits.end(), c.begin(), c.end());
+    }
     for (std::uint32_t cid : occ_buf) detach(cid);
     eliminated[static_cast<std::size_t>(v)] = 1;
     ++stats.eliminated_vars;
     if (frozen[static_cast<std::size_t>(v)]) ++stats.frozen_eliminations;  // tripwire: never
     changed = true;
-    const std::vector<Clause>& removed = elim.back().second;
-    for (std::size_t p = 0; p < num_pos; ++p) {
-      for (std::size_t n = num_pos; n < removed.size(); ++n) {
-        if (!resolve(removed[p], removed[n], v, resolvent)) continue;
+    const std::size_t end = elim.starts.size();
+    for (std::size_t p = first; p < first + num_pos; ++p) {
+      for (std::size_t n = first + num_pos; n < end; ++n) {
+        if (!resolve(elim.clause(p), elim.clause(n), v, resolvent)) continue;
         ++stats.resolvents_added;
         add_clause(resolvent);
         if (unsat) return;
@@ -419,14 +476,14 @@ struct Work {
       for (std::uint32_t cid : occ[static_cast<std::size_t>((~t).index())]) {
         const Cls& d = clauses[cid];
         if (d.deleted) continue;
-        if (!spend(probe_budget, d.lits.size())) {
+        if (!spend(probe_budget, d.size)) {
           probe_undo();
           return false;
         }
         Lit unit = Lit::undef();
         int unassigned = 0;
         bool satisfied = false;
-        for (Lit x : d.lits) {
+        for (Lit x : lits(d)) {
           const LBool v = value(x);
           if (v == LBool::True) {
             satisfied = true;
@@ -457,9 +514,9 @@ struct Work {
     // binary chain and almost never fails.
     std::vector<char> in_bin(occ.size(), 0);
     for (const Cls& c : clauses) {
-      if (c.deleted || c.lits.size() != 2) continue;
-      in_bin[static_cast<std::size_t>(c.lits[0].index())] = 1;
-      in_bin[static_cast<std::size_t>(c.lits[1].index())] = 1;
+      if (c.deleted || c.size != 2) continue;
+      in_bin[static_cast<std::size_t>(arena[c.start].index())] = 1;
+      in_bin[static_cast<std::size_t>(arena[c.start + 1].index())] = 1;
     }
     for (Var v = 0; v < nvars && !unsat; ++v) {
       const auto idx = static_cast<std::size_t>(v);
@@ -490,8 +547,6 @@ struct Work {
     }
   }
 };
-
-} // namespace
 
 Simplifier::Simplifier(SimplifyOptions options) : options_(options) {}
 Simplifier::~Simplifier() = default;
@@ -524,6 +579,13 @@ CnfSnapshot Simplifier::simplify(const CnfSnapshot& snap, const std::vector<Var>
       return out_->snapshot();
     }
   }
+
+  // A real run: free the previous generation before building the next one
+  // (its snapshot is invalid from here on, see the header).
+  assert(out_ == nullptr || sid != out_->id());
+  out_.reset();
+  elim_ = ElimStack();
+  root_assigns_ = std::vector<LBool>();
 
   const auto t0 = std::chrono::steady_clock::now();
   ++stats_.runs;
@@ -560,19 +622,20 @@ CnfSnapshot Simplifier::simplify(const CnfSnapshot& snap, const std::vector<Var>
       ++out_clauses;
       ++out_lits;
     }
-    for (const auto& c : w.clauses) {
-      if (c.deleted) continue;
-      out->add_clause(c.lits);
+    Clause c;
+    for (const Work::Cls& cls : w.clauses) {
+      if (cls.deleted) continue;
+      const Lits lits = w.lits(cls);
+      c.assign(lits.begin(), lits.end());
+      out->add_clause(c);
       ++out_clauses;
-      out_lits += c.lits.size();
+      out_lits += c.size();
     }
   }
 
-  // Publish the new generation (this invalidates the previous one).
+  // Publish the new generation.
   out_ = std::move(out);
-  elim_stack_.clear();
-  elim_stack_.reserve(w.elim.size());
-  for (auto& e : w.elim) elim_stack_.push_back(ElimEntry{e.first, std::move(e.second)});
+  elim_ = std::move(w.elim);
   root_assigns_ = std::move(w.assigns);
   unsat_ = w.unsat;
   in_store_id_ = sid;
@@ -584,6 +647,8 @@ CnfSnapshot Simplifier::simplify(const CnfSnapshot& snap, const std::vector<Var>
   stats_.input_literals = in_lits;
   stats_.output_clauses = out_clauses;
   stats_.output_literals = out_lits;
+  stats_.db_bytes = w.db_bytes();
+  stats_.elim_bytes = elim_.bytes();
   stats_.seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return out_->snapshot();
@@ -598,20 +663,19 @@ void Simplifier::reconstruct(std::vector<bool>& model) const {
   // are final by the time it is processed (later eliminations are fixed
   // first), and the resolvents the model already satisfies guarantee one
   // consistent value of v exists — so at most one flip per entry.
-  for (auto it = elim_stack_.rbegin(); it != elim_stack_.rend(); ++it) {
-    for (const Clause& c : it->clauses) {
+  for (std::size_t e = elim_.vars.size(); e-- > 0;) {
+    const Var v = elim_.vars[e];
+    for (std::size_t i = elim_.first[e]; i < elim_.entry_end(e); ++i) {
       bool satisfied = false;
       Lit own = Lit::undef();
-      for (Lit l : c) {
-        if (l.var() == it->v) own = l;
+      for (Lit l : elim_.clause(i)) {
+        if (l.var() == v) own = l;
         if (model[static_cast<std::size_t>(l.var())] != l.sign()) {
           satisfied = true;
           break;
         }
       }
-      if (!satisfied && own != Lit::undef()) {
-        model[static_cast<std::size_t>(it->v)] = !own.sign();
-      }
+      if (!satisfied && own != Lit::undef()) model[static_cast<std::size_t>(v)] = !own.sign();
     }
   }
 }

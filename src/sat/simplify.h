@@ -58,14 +58,27 @@
 // function of (input formula, frozen set, options). The scheduler relies on
 // this for thread-count-independent frontiers.
 //
+// Memory: storage follows the flat MiniSat/SatELite layout. A run's working
+// database keeps every literal in one arena; each clause is a 16-byte record
+// (signature, start, size, deleted flag) over its slice. Strengthening and
+// root propagation shrink a slice in place, deletion only sets the flag, and
+// nothing is allocated per clause. The reconstruction stack is flat too: one
+// literal vector with per-clause offsets and per-entry variable/first-clause
+// indices. A real run (not a cache hit) frees the previous generation — its
+// store and reconstruction stack — before building the new one, so two
+// generations never coexist. SimplifyStats::db_bytes and elim_bytes gauge
+// both (exported as sat.simplify.db_bytes / sat.simplify.elim_bytes).
+//
 // Thread-safety: none. simplify() runs on the scheduler's calling thread
 // between fan-out barriers; the returned snapshot is then read concurrently
 // through CnfSnapshot's own locking. The snapshot is valid until the *next*
-// simplify() call that starts a new generation.
+// simplify() call that starts a new generation; that call frees it on entry,
+// so it must not be passed back in as the input.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sat/snapshot.h"
@@ -110,6 +123,11 @@ struct SimplifyStats {
   std::uint64_t input_literals = 0;
   std::size_t output_clauses = 0;
   std::uint64_t output_literals = 0;
+  // Last run's peak reserved bytes of its working database: literal arena,
+  // clause records and occurrence lists (all only grow during a run).
+  std::uint64_t db_bytes = 0;
+  // Reserved bytes of the current generation's reconstruction stack.
+  std::uint64_t elim_bytes = 0;
   double seconds = 0.0;  // summed over runs
 };
 
@@ -127,7 +145,7 @@ public:
   // into a fresh solver reproduces them. If simplification refutes the
   // formula outright the result contains an empty clause. The returned
   // snapshot is invalidated by the next simplify() call that misses the
-  // generation cache.
+  // generation cache, which frees it before reading its own input.
   CnfSnapshot simplify(const CnfSnapshot& snap, const std::vector<Var>& frozen);
 
   // Extends/repairs a model of the current generation into a model of the
@@ -144,9 +162,25 @@ public:
   const SimplifyStats& stats() const { return stats_; }
 
 private:
-  struct ElimEntry {
-    Var v;
-    std::vector<Clause> clauses;  // the clauses removed when v was eliminated
+  struct Work;  // one run's working state (simplify.cpp)
+
+  // Reconstruction stack, flat: entry e eliminated vars[e] and saved clauses
+  // first[e] .. first[e + 1] - 1 (the last entry runs to the end); clause i
+  // is lits[starts[i] .. starts[i + 1]) (the last one runs to lits.size()).
+  struct ElimStack {
+    std::vector<Var> vars;
+    std::vector<std::uint32_t> first;
+    std::vector<std::uint32_t> starts;
+    std::vector<Lit> lits;
+
+    std::size_t entry_end(std::size_t e) const {
+      return e + 1 < first.size() ? first[e + 1] : starts.size();
+    }
+    std::span<const Lit> clause(std::size_t i) const {
+      const std::size_t end = i + 1 < starts.size() ? starts[i + 1] : lits.size();
+      return {lits.data() + starts[i], end - starts[i]};
+    }
+    std::size_t bytes() const;
   };
 
   SimplifyOptions options_;
@@ -154,7 +188,7 @@ private:
 
   // Current generation: simplified store + reconstruction state.
   std::unique_ptr<CnfStore> out_;
-  std::vector<ElimEntry> elim_stack_;
+  ElimStack elim_;
   std::vector<LBool> root_assigns_;
   bool unsat_ = false;
 

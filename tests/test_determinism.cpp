@@ -258,8 +258,11 @@ TEST(Determinism, SecurePreprocessToggleIdenticalAcrossThreadCounts) {
         EXPECT_GT(par.stats.simplify.eliminated_vars, 0u);
         EXPECT_EQ(par.stats.simplify.frozen_eliminations, 0u);
         EXPECT_LT(par.stats.simplify.output_clauses, par.stats.simplify.input_clauses);
+        EXPECT_GT(par.stats.simplify.db_bytes, 0u);
+        EXPECT_GT(par.stats.simplify.elim_bytes, 0u);
       } else if (threads == 1) {
         EXPECT_EQ(par.stats.simplify.runs, 0u);  // no scheduler, no preprocessing
+        EXPECT_EQ(par.stats.simplify.db_bytes, 0u);
       }
     }
   }

@@ -250,6 +250,13 @@ TEST(MetricsAggregation, ArenaGaugesCoverEverySolver) {
     EXPECT_EQ(m.entries().at(name).kind, util::MetricKind::Gauge) << name;
     EXPECT_GT(m.get(name), 0u) << name;
   }
+  // The simplifier's working database and reconstruction stack sit beside
+  // them (threads = 2 preprocesses).
+  for (const char* name : {"sat.simplify.db_bytes", "sat.simplify.elim_bytes"}) {
+    ASSERT_TRUE(m.has(name)) << name;
+    EXPECT_EQ(m.entries().at(name).kind, util::MetricKind::Gauge) << name;
+    EXPECT_GT(m.get(name), 0u) << name;
+  }
   // Gauges stay out of the sat.solver.* tree, whose totals sum counters.
   EXPECT_EQ(m.filtered({"sat.arena_bytes."}).size(), 2u);
   const util::MetricsSnapshot solver_tree = m.filtered({"sat.solver."});

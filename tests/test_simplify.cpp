@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "sat/backend.h"
+#include "sat/metrics.h"
 #include "sat/share.h"
 #include "sat/simplify.h"
 #include "sat/snapshot.h"
@@ -440,6 +441,205 @@ TEST(Simplify, FixedPointIsIdempotent) {
     EXPECT_EQ(second.stats().output_clauses, first.stats().output_clauses) << "round " << round;
     EXPECT_EQ(second.stats().output_literals, first.stats().output_literals) << "round " << round;
   }
+}
+
+// --- Pinned output formula ---------------------------------------------------
+//
+// The simplifier's output is a pure function of (input, frozen set, options),
+// and a storage change must not move it: every input below is pinned to an
+// FNV-1a digest of the emitted clause sequence and to the work counters. The
+// expected values were computed with the per-clause-vector storage that
+// preceded the flat layout.
+
+std::uint64_t formula_digest(const CnfSnapshot& snap) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ull;
+  };
+  mix(static_cast<std::uint64_t>(snap.num_vars()));
+  snap.for_each_clause([&](const std::vector<Lit>& c) {
+    mix(c.size());
+    for (Lit l : c) mix(static_cast<std::uint64_t>(l.index()));
+  });
+  return h;
+}
+
+// Tseitin chain x_{i+1} = x_i & a_i over frozen a_i and ends, plus a
+// self-subsumption pair (b_i | c_i), (b_i | ~c_i | d_i) per stage and one
+// failed literal p: (~p | q), (~p | r), (~q | ~r). BVE removes the inner
+// x_i, strengthening shortens every pair, probing refutes p.
+std::vector<Clause> gate_chain(int stages, std::vector<Var>& frozen, int& nvars) {
+  std::vector<Clause> out;
+  int next = 0;
+  frozen.clear();
+  auto fresh = [&](bool freeze = true) {
+    if (freeze) frozen.push_back(next);
+    return next++;
+  };
+  int x = fresh();
+  for (int i = 0; i < stages; ++i) {
+    const int a = fresh();
+    const int y = fresh(i + 1 == stages);
+    out.push_back({neg(y), pos(x)});
+    out.push_back({neg(y), pos(a)});
+    out.push_back({pos(y), neg(x), neg(a)});
+    const int b = fresh(), c = fresh(), d = fresh();
+    out.push_back({pos(b), pos(c)});
+    out.push_back({pos(b), neg(c), pos(d)});
+    x = y;
+  }
+  const int p = fresh(), q = fresh(), r = fresh();
+  out.push_back({neg(p), pos(q)});
+  out.push_back({neg(p), pos(r)});
+  out.push_back({neg(q), neg(r)});
+  nvars = next;
+  return out;
+}
+
+struct PinnedRun {
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // folded over generations
+  std::uint64_t eliminated_vars = 0;
+  std::uint64_t resolvents_added = 0;
+  std::uint64_t strengthened_clauses = 0;
+};
+
+// Simplifies one generation, folds its digest into `run`, and checks that a
+// model of the output reconstructs into a model of `formula`.
+void pin_generation(Simplifier& simp, const CnfStore& store, const std::vector<Clause>& formula,
+                    const std::vector<Var>& frozen, PinnedRun& run) {
+  const CnfSnapshot view = simp.simplify(store.snapshot(), frozen);
+  ASSERT_EQ(simp.stats().frozen_eliminations, 0u);
+  run.digest = (run.digest ^ formula_digest(view)) * 0x100000001b3ull;
+  if (const auto model = solve(view)) {
+    std::vector<bool> full = *model;
+    simp.reconstruct(full);
+    EXPECT_TRUE(satisfies(full, formula));
+  } else {
+    EXPECT_FALSE(solve(store.snapshot()).has_value());
+  }
+}
+
+void finish(const Simplifier& simp, PinnedRun& run) {
+  run.eliminated_vars += simp.stats().eliminated_vars;
+  run.resolvents_added += simp.stats().resolvents_added;
+  run.strengthened_clauses += simp.stats().strengthened_clauses;
+}
+
+void expect_pinned(const PinnedRun& run, const PinnedRun& want) {
+  EXPECT_EQ(run.digest, want.digest);
+  EXPECT_EQ(run.eliminated_vars, want.eliminated_vars);
+  EXPECT_EQ(run.resolvents_added, want.resolvents_added);
+  EXPECT_EQ(run.strengthened_clauses, want.strengthened_clauses);
+}
+
+TEST(Simplify, OutputPinnedOnRandomCorpora) {
+  // The seeds and shapes of the random corpora above, one fresh Simplifier
+  // per formula.
+  struct Corpus {
+    std::uint32_t seed;
+    int nvars;
+    std::size_t nclauses;
+    int rounds;
+    std::vector<Var> frozen;
+    PinnedRun want;
+  };
+  const std::vector<Corpus> corpora = {
+      {0xC0FFEE, 24, 95, 25, {0, 1, 2, 3, 4, 5}, {0xf12317138f75b45cull, 24, 90, 142}},
+      {0x5EED, 20, 70, 10, {0, 1, 2, 3}, {0x1ef7f4ce49d6336dull, 11, 26, 39}},
+  };
+  for (const Corpus& corpus : corpora) {
+    SCOPED_TRACE("seed " + std::to_string(corpus.seed));
+    std::mt19937 rng(corpus.seed);
+    PinnedRun run;
+    for (int round = 0; round < corpus.rounds; ++round) {
+      const std::vector<Clause> formula = random_cnf(rng, corpus.nvars, corpus.nclauses);
+      CnfStore store;
+      fill(store, corpus.nvars, formula);
+      Simplifier simp;
+      pin_generation(simp, store, formula, corpus.frozen, run);
+      finish(simp, run);
+    }
+    expect_pinned(run, corpus.want);
+  }
+}
+
+TEST(Simplify, OutputPinnedAcrossGenerations) {
+  // One Simplifier over three growing generations of the warm-switch corpora:
+  // each real run replaces (and frees) the previous generation.
+  struct Corpus {
+    std::uint32_t seed;
+    PinnedRun want;
+  };
+  const std::vector<Corpus> corpora = {
+      {0xA11CE, {0xd6866e88a618ea4cull, 11, 28, 6}},
+      {0xBEEF, {0xab0341061f0fb031ull, 6, 24, 3}},
+  };
+  std::vector<Var> frozen;
+  for (Var v = 0; v < 12; ++v) frozen.push_back(v);
+  for (const Corpus& corpus : corpora) {
+    SCOPED_TRACE("seed " + std::to_string(corpus.seed));
+    std::mt19937 rng(corpus.seed);
+    std::vector<Clause> raw;
+    CnfStore store;
+    Simplifier simp;
+    PinnedRun run;
+    grow(store, rng, 100, 420, raw);
+    pin_generation(simp, store, raw, frozen, run);
+    grow(store, rng, 4, 12, raw);
+    pin_generation(simp, store, raw, frozen, run);
+    grow(store, rng, 2, 8, raw);
+    pin_generation(simp, store, raw, frozen, run);
+    finish(simp, run);
+    EXPECT_EQ(simp.stats().runs, 3u);
+    expect_pinned(run, corpus.want);
+  }
+}
+
+TEST(Simplify, OutputPinnedOnGateChain) {
+  std::vector<Var> frozen;
+  int nvars = 0;
+  const std::vector<Clause> formula = gate_chain(16, frozen, nvars);
+  CnfStore store;
+  fill(store, nvars, formula);
+  Simplifier simp;
+  PinnedRun run;
+  pin_generation(simp, store, formula, frozen, run);
+  finish(simp, run);
+  EXPECT_GT(simp.stats().eliminated_vars, 0u);
+  EXPECT_GT(simp.stats().strengthened_clauses, 0u);
+  EXPECT_GT(simp.stats().failed_literals, 0u);
+  expect_pinned(run, {0xd2bdfe98e614f09cull, 14, 85, 16});
+}
+
+TEST(Simplify, MemoryGaugesCoverDatabaseAndReconstructionStack) {
+  std::vector<Var> frozen;
+  int nvars = 0;
+  const std::vector<Clause> formula = gate_chain(16, frozen, nvars);
+  CnfStore store;
+  fill(store, nvars, formula);
+
+  Simplifier simp;
+  simp.simplify(store.snapshot(), frozen);
+  ASSERT_GT(simp.stats().eliminated_vars, 0u);
+  EXPECT_GT(simp.stats().db_bytes, 0u);
+  EXPECT_GT(simp.stats().elim_bytes, 0u);
+  util::MetricsSnapshot m;
+  append_metrics(m, simp.stats());
+  for (const char* name : {"db_bytes", "elim_bytes"}) {
+    ASSERT_TRUE(m.has(name)) << name;
+    EXPECT_EQ(m.entries().at(name).kind, util::MetricKind::Gauge) << name;
+  }
+  EXPECT_EQ(m.get("db_bytes"), simp.stats().db_bytes);
+  EXPECT_EQ(m.get("elim_bytes"), simp.stats().elim_bytes);
+
+  // Without BVE nothing is saved for reconstruction.
+  SimplifyOptions opts;
+  opts.bve = false;
+  Simplifier no_bve(opts);
+  no_bve.simplify(store.snapshot(), frozen);
+  EXPECT_GT(no_bve.stats().db_bytes, 0u);
+  EXPECT_EQ(no_bve.stats().elim_bytes, 0u);
 }
 
 } // namespace
