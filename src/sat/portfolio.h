@@ -73,7 +73,7 @@ public:
   void set_progress(ProgressHook hook, std::uint64_t every_conflicts) override;
 
   unsigned member_count() const { return static_cast<unsigned>(all_.size()); }
-  // Which member answered each won solve (diversity diagnostics in bench).
+  // Which member answered each won solve (a diversity diagnostic).
   const std::vector<std::uint64_t>& member_wins() const { return wins_; }
   int last_winner() const { return winner_; }
   InprocBackend& inproc_member(unsigned m) { return *members_[m]; }

@@ -110,7 +110,8 @@ struct SimplifyStats {
   std::uint64_t rounds = 0;  // fixed-point rounds across all runs
   std::uint64_t eliminated_vars = 0;
   // Tripwire: eliminations of frozen variables. Any nonzero value is a bug
-  // in the frozen-set plumbing (asserted on by tests and the T-PREP bench).
+  // in the frozen-set plumbing (asserted 0 by tests, among them the
+  // test_determinism preprocessing legs).
   std::uint64_t frozen_eliminations = 0;
   std::uint64_t subsumed_clauses = 0;
   std::uint64_t strengthened_clauses = 0;

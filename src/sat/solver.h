@@ -189,7 +189,7 @@ public:
   // different units against the same formula.
   void set_restart_unit(unsigned unit) { restart_unit_ = unit == 0 ? 100 : unit; }
   // Initial phase diversity: with a nonzero seed, variables created from now
-  // on get a pseudo-random initial polarity instead of the default negative
+  // on get a pseudo-random initial polarity instead of the default positive
   // one. Phase saving still overrides the initial value after the first
   // backtrack, so this perturbs where the search *starts*, not how it learns.
   void set_phase_seed(std::uint64_t seed) {
@@ -379,7 +379,7 @@ private:
 
   std::vector<LBool> assigns_;
   std::vector<LBool> model_;
-  std::vector<signed char> phase_; // saved phase per var
+  std::vector<signed char> phase_; // saved phase per var (< 0 = negative)
   std::vector<VarInfo> var_info_;
   std::vector<double> activity_;
   std::vector<char> seen_;
@@ -404,7 +404,7 @@ private:
   std::optional<std::chrono::steady_clock::time_point> deadline_;
   const std::atomic<bool>* cancel_flag_ = nullptr;
   unsigned restart_unit_ = 100;
-  std::uint64_t phase_seed_ = 0;       // 0 = default negative initial phase
+  std::uint64_t phase_seed_ = 0;       // 0 = default positive initial phase
   std::uint64_t phase_rng_state_ = 0;  // splitmix64 stream for initial phases
 
   // Learned-clause sharing (inert unless hooks installed).

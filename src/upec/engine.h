@@ -50,8 +50,9 @@ struct VerifyOptions {
   // foreign ones at restart boundaries, cutting the UNSAT work the chunked
   // sweep otherwise re-proves per worker. Verdicts and frontiers are
   // unaffected — shared clauses are implied by the common store — so this is
-  // safe to leave on; turning it off is for A/B cost measurements
-  // (bench_clause_sharing).
+  // safe to leave on. Turning it off makes each worker's search repeat
+  // exactly, so a multi-worker run's solver counters can be pinned
+  // (test_determinism); its sharing toggle legs run both sides.
   bool share_clauses = true;
   // Optional restriction of S_pers (e.g. "only the HWPE and public RAM" to
   // steer Alg. 1 toward a specific attack scenario in the case study).

@@ -54,23 +54,6 @@ void MetricsSnapshot::merge_prefixed(const std::string& prefix,
   }
 }
 
-MetricsSnapshot
-MetricsSnapshot::filtered(const std::vector<std::string>& prefixes) const {
-  MetricsSnapshot out;
-  for (const auto& [name, entry] : entries_) {
-    bool keep = prefixes.empty();
-    for (const std::string& p : prefixes) {
-      if (name.compare(0, p.size(), p) == 0) {
-        keep = true;
-        break;
-      }
-    }
-    if (keep)
-      out.entries_.emplace(name, entry);
-  }
-  return out;
-}
-
 void MetricsSnapshot::write_json(JsonWriter& w) const {
   w.begin_object();
   for (const auto& [name, entry] : entries_)

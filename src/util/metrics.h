@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace upec::util {
 
@@ -54,11 +53,6 @@ public:
   // merge(), but every incoming name gains `prefix` — how a worker's local
   // snapshot becomes `sat.solver.w3.*` in the run-level registry.
   void merge_prefixed(const std::string& prefix, const MetricsSnapshot& other);
-
-  // Sub-snapshot of entries whose name starts with any of `prefixes`
-  // (empty list = everything). Used by the bench harness to commit a
-  // curated slice instead of the full registry.
-  MetricsSnapshot filtered(const std::vector<std::string>& prefixes) const;
 
   // Serializes as one flat JSON object, keys in lexicographic order.
   void write_json(JsonWriter& w) const;

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "upec/report.h"
 
@@ -283,8 +284,39 @@ TEST(Determinism, VulnerablePreprocessToggleIdentical) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " preprocess=" + std::to_string(preprocess));
       expect_same_alg1(seq, par);
+      if (preprocess && threads > 1) {
+        EXPECT_GE(par.stats.simplify.runs, 1u);
+        EXPECT_EQ(par.stats.simplify.frozen_eliminations, 0u);
+      }
     }
   }
+}
+
+TEST(Determinism, WorkerPathSearchFingerprint) {
+  // With clause sharing off, each worker's search depends only on its chunk
+  // and the simplified generation it hydrates from, so the summed counters
+  // of a multi-worker run repeat exactly. Pinned like Sat.SearchFingerprint:
+  // an unintended change in the simplifier, the generation switch or the
+  // scheduler's partition moves them; an intended search change
+  // regenerates the values.
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 8;
+  cfg.priv_ram_words = 4;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  Alg1Options opts;
+  opts.extract_waveform = false;
+  VerifyOptions options = with_preprocess(countermeasure_options(), 2, true);
+  options.share_clauses = false;
+  const Alg1Result a = verify_2cycle(soc, options, opts);
+  const Alg1Result b = verify_2cycle(soc, options, opts);
+  ASSERT_EQ(a.verdict, Verdict::Secure);
+  ASSERT_GE(a.stats.simplify.runs, 1u);
+  const auto counters = [](const Alg1Result& r) {
+    return std::vector<std::uint64_t>{r.stats.total.conflicts, r.stats.total.propagations,
+                                      r.stats.total.decisions};
+  };
+  EXPECT_EQ(counters(a), counters(b));
+  EXPECT_EQ(counters(a), (std::vector<std::uint64_t>{15544, 8192436, 4661798}));
 }
 
 TEST(Determinism, VulnerableAlg2PreprocessToggleIdentical) {

@@ -153,18 +153,6 @@ TEST(MetricsRegistry, MergePrefixedBuildsHierarchy) {
   EXPECT_FALSE(root.has("conflicts"));
 }
 
-TEST(MetricsRegistry, FilteredSelectsPrefixes) {
-  util::MetricsSnapshot m;
-  m.add_counter("sat.solver.total.conflicts", 1);
-  m.add_counter("sat.channel.exported", 2);
-  m.add_counter("upec.sweep.pruned_candidates", 3);
-  const util::MetricsSnapshot f = m.filtered({"upec.", "sat.channel."});
-  EXPECT_EQ(f.size(), 2u);
-  EXPECT_TRUE(f.has("upec.sweep.pruned_candidates"));
-  EXPECT_FALSE(f.has("sat.solver.total.conflicts"));
-  EXPECT_EQ(m.filtered({}).size(), 3u); // empty list = everything
-}
-
 TEST(MetricsRegistry, JsonSerializationIsSortedAndRoundTrips) {
   util::MetricsSnapshot m;
   m.add_counter("z.last", 3);
@@ -258,11 +246,12 @@ TEST(MetricsAggregation, ArenaGaugesCoverEverySolver) {
     EXPECT_GT(m.get(name), 0u) << name;
   }
   // Gauges stay out of the sat.solver.* tree, whose totals sum counters.
-  EXPECT_EQ(m.filtered({"sat.arena_bytes."}).size(), 2u);
-  const util::MetricsSnapshot solver_tree = m.filtered({"sat.solver."});
-  for (const auto& [name, entry] : solver_tree.entries()) {
-    EXPECT_EQ(entry.kind, util::MetricKind::Counter) << name;
+  std::size_t arena_gauges = 0;
+  for (const auto& [name, entry] : m.entries()) {
+    if (name.starts_with("sat.arena_bytes.")) ++arena_gauges;
+    if (name.starts_with("sat.solver.")) EXPECT_EQ(entry.kind, util::MetricKind::Counter) << name;
   }
+  EXPECT_EQ(arena_gauges, 2u);
 }
 
 TEST(MetricsAggregation, SingleSolverRunHasNoWorkerEntries) {
@@ -360,9 +349,7 @@ TEST(TraceEvents, StreamParsesBackStrictlyAndSpansBalance) {
   }
   EXPECT_EQ(names["alg1.run"], 1);
   // Progress heartbeats became counter tracks for the workers.
-  EXPECT_GT(names["solver.w0.conflicts"] + names["solver.w1.conflicts"] +
-                names["solver.main.conflicts"],
-            0);
+  EXPECT_GT(names["solver.w0.conflicts"] + names["solver.w1.conflicts"], 0);
 }
 
 TEST(TraceEvents, SecondSessionIsInertWhileOneIsArmed) {

@@ -519,6 +519,55 @@ TEST(FaultEndToEnd, HostileExternalSolverCannotChangeTheVerdict) {
   EXPECT_GE(h.degraded_solves, 1u);
 }
 
+TEST(FaultEndToEnd, HostileExternalPortfolioMemberCannotChangeTheFrontiers) {
+  // Every check raced on a 2-member in-proc portfolio plus a garbage-printing
+  // external member (no retries, quarantine after one degraded solve). On
+  // both headline scenarios the verdict and every frontier must equal the
+  // single-solver in-proc run.
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 8;
+  cfg.priv_ram_words = 4;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  Alg1Options alg;
+  alg.extract_waveform = false;
+
+  struct Scenario {
+    const char* name;
+    VerifyOptions options;
+    Verdict expected;
+  };
+  for (const Scenario& sc : {Scenario{"detect", {}, Verdict::Vulnerable},
+                             Scenario{"secure", countermeasure_options(), Verdict::Secure}}) {
+    SCOPED_TRACE(sc.name);
+    const Alg1Result baseline = verify_2cycle(soc, sc.options, alg);
+    ASSERT_EQ(baseline.verdict, sc.expected);
+
+    VerifyOptions options = sc.options;
+    options.portfolio = 2;
+    options.external_solver = sat::self_solver_argv("garbage");
+    options.supervise.max_restarts = 0;
+    options.supervise.quarantine_after = 1;
+    const Alg1Result hostile = verify_2cycle(soc, options, alg);
+
+    EXPECT_EQ(hostile.verdict, baseline.verdict);
+    ASSERT_EQ(hostile.iterations.size(), baseline.iterations.size());
+    for (std::size_t i = 0; i < baseline.iterations.size(); ++i) {
+      EXPECT_EQ(hostile.iterations[i].removed, baseline.iterations[i].removed)
+          << "iteration " << i;
+    }
+    EXPECT_EQ(hostile.persistent_hits, baseline.persistent_hits);
+    EXPECT_EQ(hostile.full_cex, baseline.full_cex);
+    EXPECT_TRUE(hostile.final_s == baseline.final_s);
+    // The external endpoint raced as the third member. At this size the
+    // in-proc members usually answer before its garbage arrives, so it is
+    // mostly cancelled; the test above covers the quarantine path.
+    ASSERT_EQ(hostile.stats.per_worker_members.size(), 1u);
+    EXPECT_EQ(hostile.stats.per_worker_members[0].size(), 3u);
+    ASSERT_EQ(hostile.stats.per_worker_health.size(), 1u);
+    EXPECT_GT(hostile.stats.per_worker_health[0].solves, 0u);
+  }
+}
+
 } // namespace
 } // namespace upec
 

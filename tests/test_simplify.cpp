@@ -9,7 +9,8 @@
 //  * each technique actually fires on its textbook case;
 //  * simplification is idempotent (a fixed point re-simplifies to itself) and
 //    the generation cache reuses identical requests;
-//  * a backend switching generations keeps what it learned, soundly.
+//  * a backend switching generations keeps what it learned, soundly;
+//  * end to end, preprocessing cuts the work of a secure Alg. 1 run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "sat/simplify.h"
 #include "sat/snapshot.h"
 #include "sat/solver.h"
+#include "upec/report.h"
 
 namespace upec::sat {
 namespace {
@@ -640,6 +642,40 @@ TEST(Simplify, MemoryGaugesCoverDatabaseAndReconstructionStack) {
   no_bve.simplify(store.snapshot(), frozen);
   EXPECT_GT(no_bve.stats().db_bytes, 0u);
   EXPECT_EQ(no_bve.stats().elim_bytes, 0u);
+}
+
+// --- end-to-end payoff ---------------------------------------------------------
+
+// Secure Alg. 1 on the countermeasure SoC, four workers with clause sharing:
+// the simplified generation must cut conflicts + propagations by at least
+// 10% against the same run on the raw store. The secure run is the
+// UNSAT-heavy workload where every removed clause pays off in every repeated
+// proof. Sharing makes the counters vary from run to run (single-run ratios
+// spread over 0.62-0.92 on a 4-vCPU x86_64 guest), so each side sums three
+// runs.
+TEST(PreprocessPayoff, SecureAlg1WorkDropsByTenPercent) {
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 8;
+  cfg.priv_ram_words = 4;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  Alg1Options alg;
+  alg.extract_waveform = false;
+  const auto work = [&](bool preprocess) {
+    VerifyOptions options = countermeasure_options();
+    options.threads = 4;
+    options.preprocess = preprocess;
+    std::uint64_t total = 0;
+    for (int run = 0; run < 3; ++run) {
+      const Alg1Result r = verify_2cycle(soc, options, alg);
+      EXPECT_EQ(r.verdict, Verdict::Secure);
+      total += r.stats.total.conflicts + r.stats.total.propagations;
+    }
+    return total;
+  };
+  const std::uint64_t off = work(false);
+  const std::uint64_t on = work(true);
+  EXPECT_LE(static_cast<double>(on), 0.90 * static_cast<double>(off))
+      << "work off " << off << ", on " << on;
 }
 
 } // namespace
