@@ -92,8 +92,7 @@ int main() {
       for (std::size_t i = 0; identical && i < t1.iterations.size(); ++i) {
         identical = t1.iterations[i].removed == t4.iterations[i].removed;
       }
-      std::uint64_t t4_solves = 0;
-      for (const auto& w : t4.stats.per_worker) t4_solves += w.solve_calls;
+      const std::uint64_t t4_solves = t4.metrics.get("sat.solver.total.solve_calls");
       std::printf("%-10u %-10s %-12.3f %-12.3f %-12.2f %-10llu %-10s %-10s\n", pub, sc.name,
                   t1.total_seconds, t4.total_seconds,
                   t4.total_seconds > 0 ? t1.total_seconds / t4.total_seconds : 0.0,

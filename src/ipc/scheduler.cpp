@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <string>
 
+#include "sat/metrics.h"
 #include "sat/portfolio.h"
 #include "util/trace.h"
 
@@ -81,38 +83,46 @@ CheckScheduler::CheckScheduler(sat::CnfStore& store, SchedulerOptions options)
   }
 }
 
-std::vector<sat::SolverStats> CheckScheduler::worker_stats() const {
-  std::vector<sat::SolverStats> out;
-  out.reserve(backends_.size());
-  for (const auto& b : backends_) out.push_back(b->stats());
-  return out;
-}
+util::MetricsSnapshot CheckScheduler::metrics() const {
+  // Every aggregate is a registry merge (counters sum, gauges max): a worker
+  // row is the merge of its members, the total the merge of the workers.
+  util::MetricsSnapshot out;
+  util::MetricsSnapshot total;
+  std::uint64_t live_learnts = 0;
+  for (unsigned w = 0; w < workers(); ++w) {
+    const sat::SolverBackend& backend = *backends_[w];
+    const std::string k = std::to_string(w);
+    const std::string wp = "sat.solver.w" + k + ".";
+    util::MetricsSnapshot wm;
+    const std::vector<sat::SolverStats> members = backend.member_stats();
+    if (members.empty()) sat::append_metrics(wm, backend.stats());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      util::MetricsSnapshot mm;
+      sat::append_metrics(mm, members[m]);
+      out.merge_prefixed(wp + "m" + std::to_string(m) + ".", mm);
+      wm.merge(mm);
+    }
+    out.merge_prefixed(wp, wm);
+    total.merge(wm);
 
-std::vector<std::vector<sat::SolverStats>> CheckScheduler::worker_member_stats() const {
-  std::vector<std::vector<sat::SolverStats>> out;
-  out.reserve(backends_.size());
-  for (const auto& b : backends_) out.push_back(b->member_stats());
-  return out;
-}
+    util::MetricsSnapshot hm;
+    sat::append_metrics(hm, backend.health());
+    out.merge_prefixed("sat.health.w" + k + ".", hm);
+    // Gauges stay outside the sat.solver.* tree, so the identity
+    // total == sum of workers covers counters only.
+    out.set_gauge("sat.arena_bytes.w" + k, backend.arena_bytes());
+    live_learnts += backend.live_learnts();
+  }
+  out.merge_prefixed("sat.solver.total.", total);
 
-std::vector<std::size_t> CheckScheduler::worker_live_learnts() const {
-  std::vector<std::size_t> out;
-  out.reserve(backends_.size());
-  for (const auto& b : backends_) out.push_back(b->live_learnts());
-  return out;
-}
-
-std::vector<std::size_t> CheckScheduler::worker_arena_bytes() const {
-  std::vector<std::size_t> out;
-  out.reserve(backends_.size());
-  for (const auto& b : backends_) out.push_back(b->arena_bytes());
-  return out;
-}
-
-std::vector<sat::BackendHealth> CheckScheduler::worker_health() const {
-  std::vector<sat::BackendHealth> out;
-  out.reserve(backends_.size());
-  for (const auto& b : backends_) out.push_back(b->health());
+  out.add_counter("sat.channel.published", channel_ ? channel_->published() : 0);
+  out.add_counter("sat.channel.exported", total.get("exported_clauses"));
+  out.add_counter("sat.channel.imported", total.get("imported_clauses"));
+  out.set_gauge("sat.channel.bytes", channel_ ? channel_->bytes() : 0);
+  util::MetricsSnapshot sm;
+  sat::append_metrics(sm, simplifier_ ? simplifier_->stats() : sat::SimplifyStats{});
+  out.merge_prefixed("sat.simplify.", sm);
+  out.set_gauge("upec.sweep.retained_learnts", live_learnts);
   return out;
 }
 
@@ -127,9 +137,9 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
   SweepResult result;
   const auto t0 = std::chrono::steady_clock::now();
   const unsigned W = workers();
-  std::vector<sat::SolverStats> before;
-  before.reserve(W);
-  for (const auto& b : backends_) before.push_back(b->stats());
+  std::vector<std::uint64_t> conflicts_before;
+  conflicts_before.reserve(W);
+  for (const auto& b : backends_) conflicts_before.push_back(b->stats().conflicts);
 
   // Single batch registration on the calling thread: one CNF emission
   // regardless of worker count, so the clause stream (and every snapshot
@@ -179,14 +189,13 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
   // set {sv : diff(sv) satisfiable} regardless of W or model order.
   std::vector<std::vector<rtlir::StateVarId>> differing(W);
   std::vector<std::vector<SweepResult::UnsatGroup>> groups(W);
-  std::vector<std::uint64_t> solves(W, 0);
   std::vector<char> chunk_unknown(W, 0);
   std::vector<char> chunk_timeout(W, 0);
   std::vector<std::function<void()>> tasks;
   for (unsigned w = 0; w < W; ++w) {
     if (chunk[w].empty()) continue;
-    tasks.push_back([this, w, &view, &assumptions, &chunk, &differing, &groups, &solves,
-                     &chunk_unknown, &chunk_timeout] {
+    tasks.push_back([this, w, &view, &assumptions, &chunk, &differing, &groups, &chunk_unknown,
+                     &chunk_timeout] {
       sat::SolverBackend& backend = *backends_[w];
       backend.sync(view);
       const std::vector<Candidate>& mine = chunk[w];
@@ -195,7 +204,6 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
         if (resolved[i]) continue;
         std::vector<encode::Lit> as = assumptions;
         as.push_back(mine[i].activation);
-        ++solves[w];
         const sat::SolveStatus status = backend.solve(as);
         if (status == sat::SolveStatus::Unknown) {
           chunk_unknown[w] = 1;
@@ -228,27 +236,18 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
   // Deterministic merge, ascending worker index, after the barrier.
   bool unknown = false;
   for (unsigned w = 0; w < W; ++w) {
-    result.solve_calls += solves[w];
     if (chunk_unknown[w]) unknown = true;
     if (chunk_timeout[w]) result.timed_out = true;
     result.differing.insert(result.differing.end(), differing[w].begin(), differing[w].end());
     for (auto& g : groups[w]) result.unsat_groups.push_back(std::move(g));
 
-    const sat::SolverStats delta = backends_[w]->stats() - before[w];
-    result.conflicts += delta.conflicts;
-    result.decisions += delta.decisions;
-    result.propagations += delta.propagations;
-    result.exported += delta.exported_clauses;
-    result.imported += delta.imported_clauses;
-    result.imported_per_worker.push_back(delta.imported_clauses);
-    result.retained_learnts += backends_[w]->live_learnts();
+    result.conflicts += backends_[w]->stats().conflicts - conflicts_before[w];
   }
   std::sort(result.differing.begin(), result.differing.end());
   result.status = unknown                    ? CheckStatus::Unknown
                   : result.differing.empty() ? CheckStatus::Holds
                                              : CheckStatus::Violated;
   result.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  if (simplifier_ != nullptr) result.simplify = simplifier_->stats();
   return result;
 }
 

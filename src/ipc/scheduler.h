@@ -58,6 +58,7 @@
 #include "sat/pipe_backend.h"
 #include "sat/simplify.h"
 #include "sat/supervise.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace upec::ipc {
@@ -69,13 +70,6 @@ struct SweepResult {
   std::vector<rtlir::StateVarId> differing;  // sorted ascending
   double seconds = 0.0;                      // wall clock for the whole sweep
   std::uint64_t conflicts = 0;               // summed over workers
-  std::uint64_t decisions = 0;
-  std::uint64_t propagations = 0;
-  // Learned-clause sharing traffic during this sweep (zero with sharing off).
-  std::uint64_t exported = 0;                   // summed over workers
-  std::uint64_t imported = 0;                   // summed over workers
-  std::vector<std::uint64_t> imported_per_worker;  // one entry per worker
-  std::size_t solve_calls = 0;
 
   // Refutations: one entry per candidate proven unable to differ, carrying
   // the assumption core of that refutation. The upec layer mines these for
@@ -86,18 +80,9 @@ struct SweepResult {
   };
   std::vector<UnsatGroup> unsat_groups;
 
-  // The workers' combined live learnt-clause databases at sweep end — the
-  // clauses they retain across sweeps, iterations and Alg. 2 steps (new
-  // preprocessing generations included).
-  std::size_t retained_learnts = 0;
-
   // An Unknown status was (at least in part) a wall-clock hit: some worker's
   // backend reported last_timed_out() for the solve that went Unknown.
   bool timed_out = false;
-
-  // Cumulative snapshot-preprocessing counters at sweep end (all zero when
-  // preprocessing is off; see SchedulerOptions::preprocess).
-  sat::SimplifyStats simplify;
 };
 
 struct SchedulerOptions {
@@ -162,9 +147,6 @@ public:
 
   unsigned workers() const { return static_cast<unsigned>(backends_.size()); }
 
-  // Total clauses published into the sharing channel (0 when sharing is off).
-  std::size_t shared_clauses() const { return channel_ ? channel_->published() : 0; }
-
   // Finds every candidate whose diff literal at `frame` is satisfiable under
   // `assumptions`. Encodes missing diff/activation literals through
   // `miter.cnf()` on the calling thread.
@@ -179,17 +161,20 @@ public:
   CheckResult check(const std::vector<encode::Lit>& assumptions,
                     std::vector<encode::Lit>* core = nullptr);
 
-  // Cumulative per-worker statistics (for report breakdowns).
-  std::vector<sat::SolverStats> worker_stats() const;
-  // Per-worker member breakdown: worker w's entry lists one SolverStats per
-  // portfolio participant, summing exactly to worker_stats()[w]; empty for
-  // single-solver workers (see SolverBackend::member_stats).
-  std::vector<std::vector<sat::SolverStats>> worker_member_stats() const;
-  std::vector<std::size_t> worker_live_learnts() const;
-  std::vector<std::size_t> worker_arena_bytes() const;
-  // Per-worker robustness counters (all-zero entries for plain in-proc
-  // workers; populated under portfolio/external backends).
-  std::vector<sat::BackendHealth> worker_health() const;
+  // Cumulative statistics of every worker, the clause channel and the
+  // simplifier, as one registry (util/metrics.h; names in README
+  // "Observability"):
+  //   sat.solver.w<k>.*       worker k's SolverStats (under a portfolio, the
+  //                           merge of its members' sat.solver.w<k>.m<j>.*)
+  //   sat.solver.total.*      merge of every worker row
+  //   sat.health.w<k>.*       worker k's BackendHealth
+  //   sat.arena_bytes.w<k>    worker k's clause arena (gauge)
+  //   sat.channel.*           published / exported / imported counters and
+  //                           the channel's reserved `bytes` (gauge)
+  //   sat.simplify.*          preprocessing counters (zero when it is off)
+  //   upec.sweep.retained_learnts  the workers' live learnt clauses (gauge)
+  // Call it on the calling thread between sweeps.
+  util::MetricsSnapshot metrics() const;
 
   // The worker backends. backend(0) answers check() and is the miter's model
   // source; tests inspect portfolio/supervised internals through the others.
@@ -197,10 +182,6 @@ public:
 
   // True iff snapshot preprocessing is active.
   bool preprocessing() const { return simplifier_ != nullptr; }
-  // Cumulative preprocessing counters (all zero when preprocessing is off).
-  sat::SimplifyStats simplify_stats() const {
-    return simplifier_ ? simplifier_->stats() : sat::SimplifyStats{};
-  }
 
 private:
   sat::CnfStore& store_;

@@ -18,23 +18,6 @@ void append_metrics(util::MetricsSnapshot& out, const SolverStats& stats) {
   out.add_counter("solve_calls", stats.solve_calls);
 }
 
-SolverStats solver_stats_from_metrics(const util::MetricsSnapshot& snap,
-                                      const std::string& prefix) {
-  SolverStats s;
-  s.carried_learnts = snap.get(prefix + "carried_learnts");
-  s.chrono_backtracks = snap.get(prefix + "chrono_backtracks");
-  s.conflicts = snap.get(prefix + "conflicts");
-  s.decisions = snap.get(prefix + "decisions");
-  s.deleted_clauses = snap.get(prefix + "deleted_clauses");
-  s.exported_clauses = snap.get(prefix + "exported_clauses");
-  s.imported_clauses = snap.get(prefix + "imported_clauses");
-  s.learned_clauses = snap.get(prefix + "learned_clauses");
-  s.propagations = snap.get(prefix + "propagations");
-  s.restarts = snap.get(prefix + "restarts");
-  s.solve_calls = snap.get(prefix + "solve_calls");
-  return s;
-}
-
 void append_metrics(util::MetricsSnapshot& out, const SimplifyStats& stats) {
   out.add_counter("eliminated_vars", stats.eliminated_vars);
   out.add_counter("failed_literals", stats.failed_literals);

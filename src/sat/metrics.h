@@ -2,13 +2,11 @@
 // util::MetricsSnapshot registry (util/metrics.h).
 //
 // Naming convention: the adapters emit *unprefixed* leaf names (`conflicts`,
-// `health.timeouts`, ...); the aggregation point prefixes each component's
+// `timeouts`, ...); the aggregation point prefixes each component's
 // snapshot into the run-level registry via merge_prefixed — e.g.
 // `sat.solver.w3.` + `conflicts`. This keeps one component's serialization
 // in one place while the hierarchy stays a call-site concern.
 #pragma once
-
-#include <string>
 
 #include "sat/backend.h"
 #include "sat/simplify.h"
@@ -17,10 +15,8 @@
 
 namespace upec::sat {
 
-// SolverStats <-> snapshot. Every field is a counter; round-trips exactly.
+// SolverStats: every field is a counter.
 void append_metrics(util::MetricsSnapshot& out, const SolverStats& stats);
-SolverStats solver_stats_from_metrics(const util::MetricsSnapshot& snap,
-                                      const std::string& prefix = "");
 
 // SimplifyStats: activity fields are counters; last-run formula sizes and
 // the memory readings (`db_bytes`, `elim_bytes`) are gauges; `seconds`

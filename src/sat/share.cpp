@@ -37,4 +37,9 @@ std::size_t ClauseChannel::collect(unsigned reader, std::size_t& cursor,
   return appended;
 }
 
+std::size_t ClauseChannel::bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return arena_.capacity() * sizeof(Lit) + entries_.capacity() * sizeof(Entry);
+}
+
 } // namespace upec::sat

@@ -22,7 +22,8 @@
 //
 // The channel is append-only for the lifetime of a scheduler; entries are a
 // few dozen literals each (size-capped), so memory stays far below the
-// per-worker clause databases they deduplicate.
+// per-worker clause databases they deduplicate; the scheduler reports it as
+// the `sat.channel.bytes` gauge.
 #pragma once
 
 #include <atomic>
@@ -61,6 +62,9 @@ public:
 
   // Total clauses ever published (all sources).
   std::size_t published() const { return count_.load(std::memory_order_acquire); }
+
+  // Bytes reserved by the arena and the entry index (capacity, not size).
+  std::size_t bytes() const;
 
 private:
   struct Entry {

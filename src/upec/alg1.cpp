@@ -1,8 +1,5 @@
 #include "upec/alg1.h"
 
-#include <string>
-
-#include "sat/metrics.h"
 #include "upec/engine.h"
 #include "upec/sweep.h"
 #include "util/trace.h"
@@ -16,63 +13,6 @@ const char* verdict_name(Verdict v) {
     case Verdict::Unknown: return "unknown";
   }
   return "?";
-}
-
-void collect_solver_usage(const UpecContext& ctx, SolverUsage& usage) {
-  usage = SolverUsage{};
-
-  // Every aggregate below is a registry merge (util/metrics.h: counters sum,
-  // gauges max) over per-component snapshots — there is exactly one place
-  // that defines how workers + portfolio members add up, and both `total`
-  // and `per_worker` are *derived* from the merged registry.
-  const ipc::CheckScheduler& sched = ctx.scheduler;
-  util::MetricsSnapshot total_m;
-  const std::vector<sat::SolverStats> worker_stats = sched.worker_stats();
-  usage.per_worker_members = sched.worker_member_stats();
-  usage.per_worker_health = sched.worker_health();
-  const std::vector<std::size_t> live = sched.worker_live_learnts();
-  const std::vector<std::size_t> arena = sched.worker_arena_bytes();
-  const unsigned W = sched.workers();
-  usage.per_worker.reserve(W);
-  for (unsigned w = 0; w < W; ++w) {
-    const std::string wp = "sat.solver.w" + std::to_string(w) + ".";
-    util::MetricsSnapshot wm;
-    const std::vector<sat::SolverStats>& members = usage.per_worker_members[w];
-    if (members.empty()) {
-      sat::append_metrics(wm, worker_stats[w]);
-    } else {
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        util::MetricsSnapshot mm;
-        sat::append_metrics(mm, members[m]);
-        usage.metrics.merge_prefixed(wp + "m" + std::to_string(m) + ".", mm);
-        wm.merge(mm);
-      }
-    }
-    usage.per_worker.push_back(sat::solver_stats_from_metrics(wm));
-    usage.metrics.merge_prefixed(wp, wm);
-    total_m.merge(wm);
-
-    util::MetricsSnapshot hm;
-    sat::append_metrics(hm, usage.per_worker_health[w]);
-    usage.metrics.merge_prefixed("sat.health.w" + std::to_string(w) + ".", hm);
-    usage.retained_learnts += live[w];
-    // Clause-arena memory per worker. Gauges outside the sat.solver.* tree,
-    // so the identity total == sum of workers covers counters only.
-    usage.metrics.set_gauge("sat.arena_bytes.w" + std::to_string(w), arena[w]);
-  }
-  usage.simplify = sched.simplify_stats();
-  usage.metrics.add_counter("sat.channel.published", sched.shared_clauses());
-  usage.total = sat::solver_stats_from_metrics(total_m);
-  usage.metrics.merge_prefixed("sat.solver.total.", total_m);
-
-  usage.pruned_candidates = ctx.pruner.total_pruned();
-  usage.metrics.add_counter("upec.sweep.pruned_candidates", usage.pruned_candidates);
-  usage.metrics.set_gauge("upec.sweep.retained_learnts", usage.retained_learnts);
-  usage.metrics.add_counter("sat.channel.exported", usage.total.exported_clauses);
-  usage.metrics.add_counter("sat.channel.imported", usage.total.imported_clauses);
-  util::MetricsSnapshot sm;
-  sat::append_metrics(sm, usage.simplify);
-  usage.metrics.merge_prefixed("sat.simplify.", sm);
 }
 
 Alg1Result run_alg1(UpecContext& ctx, const Alg1Options& options) {
@@ -121,7 +61,7 @@ Alg1Result run_alg1(UpecContext& ctx, const Alg1Options& options) {
       result.persistent_hits = std::move(out.pers_hits);
       result.full_cex = std::move(out.s_cex);
       result.final_s = std::move(S);
-      collect_solver_usage(ctx, result.stats);
+      result.metrics = collect_metrics(ctx);
       return result;
     }
 
@@ -130,7 +70,7 @@ Alg1Result run_alg1(UpecContext& ctx, const Alg1Options& options) {
     if (out.status == ipc::CheckStatus::Unknown) {
       result.verdict = Verdict::Unknown;
       result.timed_out = out.timed_out;
-      collect_solver_usage(ctx, result.stats);
+      result.metrics = collect_metrics(ctx);
       return result;
     }
     if (out.s_cex.empty()) {
@@ -139,13 +79,13 @@ Alg1Result run_alg1(UpecContext& ctx, const Alg1Options& options) {
       // the unbounded secure verdict.
       result.verdict = Verdict::Secure;
       result.final_s = std::move(S);
-      collect_solver_usage(ctx, result.stats);
+      result.metrics = collect_metrics(ctx);
       return result;
     }
     S.remove_all(out.s_cex);
   }
   result.verdict = Verdict::Unknown;
-  collect_solver_usage(ctx, result.stats);
+  result.metrics = collect_metrics(ctx);
   return result;
 }
 

@@ -18,8 +18,6 @@
 
 #include "ipc/cex.h"
 #include "ipc/property.h"
-#include "sat/backend.h"
-#include "sat/simplify.h"
 #include "upec/state_sets.h"
 #include "util/metrics.h"
 
@@ -46,40 +44,6 @@ struct IterationLog {
   bool timed_out = false;
 };
 
-// Cumulative solver statistics behind a verification run: every scheduler
-// worker (one at threads == 1). Reports aggregate `total` and can break down
-// `per_worker`.
-struct SolverUsage {
-  // Derived from `metrics` below: the sum of every worker (which in turn is
-  // the sum of its portfolio members). All
-  // aggregation is routed through MetricsSnapshot::merge in
-  // collect_solver_usage — nothing sums stats ad hoc anymore.
-  sat::SolverStats total;
-  std::vector<sat::SolverStats> per_worker;  // one entry per worker
-  // Worker w's portfolio-member breakdown (parallel to per_worker; empty
-  // inner vector = single-solver worker). Members sum to per_worker[w].
-  std::vector<std::vector<sat::SolverStats>> per_worker_members;
-  // Sweep work avoidance: candidates pruned via recorded UNSAT cores, and
-  // the learnt clauses still live in the solvers at collection time — the
-  // databases the sweeps carry across queries and iterations.
-  std::uint64_t pruned_candidates = 0;
-  std::size_t retained_learnts = 0;
-  // Per-worker robustness counters (parallel to per_worker; all-zero entries
-  // for plain in-proc workers, populated under portfolio/external backends).
-  std::vector<sat::BackendHealth> per_worker_health;
-  // Snapshot-preprocessing counters (all zero with preprocessing off or a
-  // single-solver scheduler): real simplifications vs generation-cache
-  // reuses, eliminated variables, removed/strengthened clauses, and the last
-  // run's formula shrinkage (see sat/simplify.h).
-  sat::SimplifyStats simplify;
-  // The unified named-counter registry for the run: per-component snapshots
-  // under `sat.solver.w<k>.`, `sat.solver.w<k>.m<j>.`, their merge under
-  // `sat.solver.total.`, plus `upec.*`, `sat.channel.*`, `sat.simplify.*`,
-  // `sat.health.w<k>.*`, and the clause-arena gauges `sat.arena_bytes.w<k>`.
-  // Counter naming and merge conventions: README "Observability".
-  util::MetricsSnapshot metrics;
-};
-
 struct Alg1Result {
   Verdict verdict = Verdict::Unknown;
   std::vector<IterationLog> iterations;
@@ -92,7 +56,10 @@ struct Alg1Result {
   // Secure: the final inductive set (S_pers ⊆ S ⊆ S_¬victim).
   StateSet final_s;
   double total_seconds = 0.0;
-  SolverUsage stats;
+  // Every counter behind the run: the scheduler's registry
+  // (CheckScheduler::metrics) plus `upec.sweep.pruned_candidates`. Names and
+  // merge conventions: README "Observability".
+  util::MetricsSnapshot metrics;
   // Unknown verdict was (at least in part) a wall-clock deadline hit.
   bool timed_out = false;
 };

@@ -57,7 +57,7 @@ Alg2Result run_alg2(UpecContext& ctx, const Alg2Options& options) {
       result.final_k = k;
       result.persistent_hits = std::move(out.pers_hits);
       result.full_cex = std::move(out.s_cex);
-      collect_solver_usage(ctx, result.stats);
+      result.metrics = collect_metrics(ctx);
       return result;
     }
     result.steps.push_back(std::move(step));
@@ -66,7 +66,7 @@ Alg2Result run_alg2(UpecContext& ctx, const Alg2Options& options) {
       result.verdict = Verdict::Unknown;
       result.timed_out = out.timed_out;
       result.final_k = k;
-      collect_solver_usage(ctx, result.stats);
+      result.metrics = collect_metrics(ctx);
       return result;
     }
     if (!out.s_cex.empty()) {
@@ -94,13 +94,13 @@ Alg2Result run_alg2(UpecContext& ctx, const Alg2Options& options) {
       } else {
         result.verdict = Verdict::Secure;
       }
-      collect_solver_usage(ctx, result.stats);
+      result.metrics = collect_metrics(ctx);
       return result;
     }
     if (k + 1 > options.max_k) {
       result.verdict = Verdict::Unknown;
       result.final_k = k;
-      collect_solver_usage(ctx, result.stats);
+      result.metrics = collect_metrics(ctx);
       return result;
     }
     ++k;
@@ -108,7 +108,7 @@ Alg2Result run_alg2(UpecContext& ctx, const Alg2Options& options) {
   }
   result.verdict = Verdict::Unknown;
   result.final_k = k;
-  collect_solver_usage(ctx, result.stats);
+  result.metrics = collect_metrics(ctx);
   return result;
 }
 

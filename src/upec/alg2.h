@@ -33,7 +33,7 @@ struct Alg2Result {
   // When the unrolling converged ("hold"): the closing inductive proof.
   std::optional<Alg1Result> induction;
   double total_seconds = 0.0;
-  SolverUsage stats;
+  util::MetricsSnapshot metrics;  // see Alg1Result::metrics
   // Unknown verdict was (at least in part) a wall-clock deadline hit.
   bool timed_out = false;
 };

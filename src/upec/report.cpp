@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <sstream>
+#include <string>
 
 namespace upec {
 
@@ -36,66 +37,64 @@ void render_hits(std::ostringstream& os, const UpecContext& ctx,
   }
 }
 
-// Aggregated solver statistics: the sum over every scheduler worker.
-void render_solver_usage(std::ostringstream& os, const SolverUsage& usage) {
-  const sat::SolverStats& t = usage.total;
-  const std::size_t workers = usage.per_worker.size();
-  os << "solver usage (" << workers << (workers == 1 ? " worker): " : " workers): ")
-     << t.solve_calls << " solves, " << t.conflicts << " conflicts, " << t.decisions
-     << " decisions, " << t.propagations << " propagations";
-  if (t.exported_clauses != 0 || t.imported_clauses != 0) {
-    os << ", shared clauses " << t.exported_clauses << " exported / " << t.imported_clauses
-       << " imported";
+// The run's solver statistics, read from its metrics registry: the total over
+// every scheduler worker, then one line per worker, its portfolio members and
+// its backend health.
+void render_solver_usage(std::ostringstream& os, const util::MetricsSnapshot& m,
+                         unsigned workers) {
+  const auto row = [&](const std::string& p, bool learned) {
+    os << m.get(p + "solve_calls") << " solves, " << m.get(p + "conflicts") << " conflicts, "
+       << m.get(p + "decisions") << " decisions, " << m.get(p + "propagations") << " propagations";
+    if (learned) os << ", " << m.get(p + "learned_clauses") << " learned";
+  };
+  const std::string t = "sat.solver.total.";
+  os << "solver usage (" << workers << (workers == 1 ? " worker): " : " workers): ");
+  row(t, false);
+  if (m.get(t + "exported_clauses") != 0 || m.get(t + "imported_clauses") != 0) {
+    os << ", shared clauses " << m.get(t + "exported_clauses") << " exported / "
+       << m.get(t + "imported_clauses") << " imported";
   }
   os << "\n";
-  if (usage.pruned_candidates != 0) {
-    os << "frontier pruning: " << usage.pruned_candidates << " candidates pruned by cores, "
-       << usage.retained_learnts << " learnts retained\n";
+  if (m.get("upec.sweep.pruned_candidates") != 0) {
+    os << "frontier pruning: " << m.get("upec.sweep.pruned_candidates")
+       << " candidates pruned by cores, " << m.get("upec.sweep.retained_learnts")
+       << " learnts retained\n";
   }
-  if (usage.simplify.runs != 0) {
-    const sat::SimplifyStats& p = usage.simplify;
-    os << "preprocessing: " << p.runs << " runs / " << p.reuses << " reuses, "
-       << p.eliminated_vars << " vars eliminated, " << p.subsumed_clauses << " subsumed, "
-       << p.strengthened_clauses << " strengthened, " << p.failed_literals
-       << " failed literals, " << p.fixed_vars << " fixed; last run " << p.input_clauses
-       << " -> " << p.output_clauses << " clauses\n";
+  const auto p = [&m](const char* leaf) { return m.get(std::string("sat.simplify.") + leaf); };
+  if (p("runs") != 0) {
+    os << "preprocessing: " << p("runs") << " runs / " << p("reuses") << " reuses, "
+       << p("eliminated_vars") << " vars eliminated, " << p("subsumed_clauses") << " subsumed, "
+       << p("strengthened_clauses") << " strengthened, " << p("failed_literals")
+       << " failed literals, " << p("fixed_vars") << " fixed; last run " << p("input_clauses")
+       << " -> " << p("output_clauses") << " clauses\n";
   }
-  for (std::size_t w = 0; w < usage.per_worker.size(); ++w) {
-    const sat::SolverStats& s = usage.per_worker[w];
-    os << "  worker " << w << ": " << s.solve_calls << " solves, " << s.conflicts
-       << " conflicts, " << s.decisions << " decisions, " << s.propagations
-       << " propagations, " << s.learned_clauses << " learned";
-    if (s.exported_clauses != 0 || s.imported_clauses != 0) {
-      os << ", " << s.exported_clauses << " exported, " << s.imported_clauses << " imported";
+  for (unsigned w = 0; w < workers; ++w) {
+    const std::string wp = "sat.solver.w" + std::to_string(w) + ".";
+    os << "  worker " << w << ": ";
+    row(wp, true);
+    if (m.get(wp + "exported_clauses") != 0 || m.get(wp + "imported_clauses") != 0) {
+      os << ", " << m.get(wp + "exported_clauses") << " exported, "
+         << m.get(wp + "imported_clauses") << " imported";
     }
     os << "\n";
-    // Portfolio-member breakdown: the members' counters sum to the worker
-    // line above (collect_solver_usage derives the worker from the members
-    // through one registry merge, so this is an identity, not a re-count).
-    if (w < usage.per_worker_members.size() && !usage.per_worker_members[w].empty()) {
-      for (std::size_t m = 0; m < usage.per_worker_members[w].size(); ++m) {
-        const sat::SolverStats& ms = usage.per_worker_members[w][m];
-        os << "    member " << m << ": " << ms.solve_calls << " solves, " << ms.conflicts
-           << " conflicts, " << ms.decisions << " decisions, " << ms.propagations
-           << " propagations, " << ms.learned_clauses << " learned\n";
-      }
+    // The worker row is the registry merge of its portfolio members' rows.
+    for (unsigned j = 0; m.has(wp + "m" + std::to_string(j) + ".solve_calls"); ++j) {
+      os << "    member " << j << ": ";
+      row(wp + "m" + std::to_string(j) + ".", true);
+      os << "\n";
     }
-    // Robustness counters only exist under portfolio / external backends;
-    // plain in-proc workers report an all-zero BackendHealth and get no line.
-    if (w < usage.per_worker_health.size()) {
-      const sat::BackendHealth& h = usage.per_worker_health[w];
-      if (h.solves != 0) {
-        os << "    health: " << h.solves << " backend solves (" << h.sat << " sat / " << h.unsat
-           << " unsat / " << h.unknown << " unknown)";
-        if (h.external_failures != 0) os << ", " << h.external_failures << " external failures";
-        if (h.restarts != 0) os << ", " << h.restarts << " restarts";
-        if (h.timeouts != 0) os << ", " << h.timeouts << " timeouts";
-        if (h.degraded_solves != 0) os << ", " << h.degraded_solves << " degraded";
-        if (h.cancelled != 0) os << ", " << h.cancelled << " cancelled";
-        if (h.quarantined) os << ", QUARANTINED";
-        os << "\n";
-      }
-    }
+    // Plain in-proc workers count no backend solves and get no health line.
+    const std::string hp = "sat.health.w" + std::to_string(w) + ".";
+    const auto h = [&](const char* leaf) { return m.get(hp + leaf); };
+    if (h("solves") == 0) continue;
+    os << "    health: " << h("solves") << " backend solves (" << h("sat") << " sat / "
+       << h("unsat") << " unsat / " << h("unknown") << " unknown)";
+    if (h("external_failures") != 0) os << ", " << h("external_failures") << " external failures";
+    if (h("restarts") != 0) os << ", " << h("restarts") << " restarts";
+    if (h("timeouts") != 0) os << ", " << h("timeouts") << " timeouts";
+    if (h("degraded_solves") != 0) os << ", " << h("degraded_solves") << " degraded";
+    if (h("cancelled") != 0) os << ", " << h("cancelled") << " cancelled";
+    os << (h("quarantined") != 0 ? ", QUARANTINED\n" : "\n");
   }
 }
 
@@ -129,7 +128,7 @@ std::string render_report(const UpecContext& ctx, const Alg1Result& result) {
   os << "verdict: " << verdict_name(result.verdict)
      << (result.verdict == Verdict::Unknown && result.timed_out ? " (timed out)" : "")
      << "  (total " << std::fixed << std::setprecision(3) << result.total_seconds << " s)\n";
-  render_solver_usage(os, result.stats);
+  render_solver_usage(os, result.metrics, ctx.scheduler.workers());
   if (result.verdict == Verdict::Vulnerable) {
     render_hits(os, ctx, result.persistent_hits, result.full_cex);
     if (result.waveform) {
@@ -150,7 +149,7 @@ std::string render_report(const UpecContext& ctx, const Alg2Result& result) {
   os << "verdict: " << verdict_name(result.verdict)
      << (result.verdict == Verdict::Unknown && result.timed_out ? " (timed out)" : "")
      << "  (total " << std::fixed << std::setprecision(3) << result.total_seconds << " s)\n";
-  render_solver_usage(os, result.stats);
+  render_solver_usage(os, result.metrics, ctx.scheduler.workers());
   if (result.verdict == Verdict::Vulnerable) {
     render_hits(os, ctx, result.persistent_hits, result.full_cex);
     if (result.waveform) {

@@ -108,13 +108,14 @@ void write_head(util::JsonWriter& w, const UpecContext& ctx, const char* algorit
   w.value(config_hash(ctx.options));
 }
 
-void write_tail(util::JsonWriter& w, const UpecContext& ctx, const SolverUsage& stats) {
+void write_tail(util::JsonWriter& w, const UpecContext& ctx,
+                const util::MetricsSnapshot& metrics) {
   w.key("state_vars");
   w.value(ctx.svt.size());
   w.key("workers");
-  w.value(stats.per_worker.size());
+  w.value(ctx.scheduler.workers());
   w.key("metrics");
-  stats.metrics.write_json(w);
+  metrics.write_json(w);
 }
 
 } // namespace
@@ -151,7 +152,7 @@ std::string render_json(const UpecContext& ctx, const Alg1Result& result) {
   w.value(result.waveform.has_value());
   w.key("final_s_size");
   w.value(result.final_s.size());
-  write_tail(w, ctx, result.stats);
+  write_tail(w, ctx, result.metrics);
   w.end_object();
   return w.take();
 }
@@ -187,7 +188,7 @@ std::string render_json(const UpecContext& ctx, const Alg2Result& result) {
   } else {
     w.value_null();
   }
-  write_tail(w, ctx, result.stats);
+  write_tail(w, ctx, result.metrics);
   w.end_object();
   return w.take();
 }

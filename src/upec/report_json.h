@@ -19,7 +19,7 @@
 //     "final_k": n, "induction": {...}|null, // alg2 only
 //     "state_vars": n,
 //     "workers": n,                          // scheduler workers, >= 1
-//     "metrics": { "<counter name>": n, ... } // SolverUsage::metrics, flat
+//     "metrics": { "<counter name>": n, ... } // Alg1Result::metrics, flat
 //   }
 //
 // `config` and `config_hash` cover only verdict-relevant options — the

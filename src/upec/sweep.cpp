@@ -132,4 +132,10 @@ std::optional<ipc::Waveform> extract_pers_waveform(UpecContext& ctx,
   return ipc::extract_waveform(ctx.miter, frame, ctx.waveform_probes(), out.s_cex);
 }
 
+util::MetricsSnapshot collect_metrics(const UpecContext& ctx) {
+  util::MetricsSnapshot m = ctx.scheduler.metrics();
+  m.add_counter("upec.sweep.pruned_candidates", ctx.pruner.total_pruned());
+  return m;
+}
+
 } // namespace upec

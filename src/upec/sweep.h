@@ -18,6 +18,7 @@
 #include "ipc/cex.h"
 #include "ipc/scheduler.h"
 #include "upec/state_sets.h"
+#include "util/metrics.h"
 
 namespace upec {
 
@@ -55,10 +56,8 @@ std::optional<ipc::Waveform> extract_pers_waveform(UpecContext& ctx,
                                                    const SweepOutcome& out, unsigned frame,
                                                    IterationLog& log, double& total_seconds);
 
-struct SolverUsage;
-
-// Fills `usage` with every scheduler worker's statistics (aggregate +
-// per-worker breakdown).
-void collect_solver_usage(const UpecContext& ctx, SolverUsage& usage);
+// The run's metrics registry: the scheduler's (CheckScheduler::metrics) plus
+// the frontier pruner's `upec.sweep.pruned_candidates`.
+util::MetricsSnapshot collect_metrics(const UpecContext& ctx);
 
 } // namespace upec

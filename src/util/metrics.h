@@ -1,8 +1,10 @@
 // Hierarchical counter/gauge snapshot with explicit merge semantics.
 //
 // The engine's per-component statistics (sat::SolverStats, SimplifyStats,
-// BackendHealth, ipc::SweepResult, upec pruner counters) are unified
-// into one named, flat registry. Names are dotted paths that encode the
+// BackendHealth, the clause channel, the upec frontier pruner) are unified
+// into one named, flat registry: ipc::CheckScheduler::metrics() builds it,
+// the upec layer adds its pruner counter, and both the text and the JSON
+// report read it (Alg1Result::metrics). Names are dotted paths that encode the
 // hierarchy — `sat.solver.w3.conflicts`, `sat.solver.w3.m1.conflicts`,
 // `upec.sweep.pruned_candidates`, `sat.channel.exported` — so a snapshot
 // is simultaneously the per-component breakdown and (via merge_prefixed)

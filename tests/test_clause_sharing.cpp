@@ -10,6 +10,7 @@
 #include "sat/backend.h"
 #include "sat/share.h"
 #include "sat/snapshot.h"
+#include "registry_rows.h"
 #include "upec/report.h"
 
 namespace upec {
@@ -70,6 +71,16 @@ TEST(ClauseSharing, ChannelCollectSkipsOwnAndAdvancesCursor) {
   std::vector<sat::SharedClause> out2;
   std::size_t cursor2 = 0;
   EXPECT_EQ(ch.collect(7, cursor2, out2), 2u);
+}
+
+TEST(ClauseSharing, ChannelBytesCoverArenaAndEntries) {
+  sat::ClauseChannel ch;
+  EXPECT_EQ(ch.bytes(), 0u);  // nothing reserved before the first publish
+  ch.publish(0, {pos(1), neg(2), pos(3)}, 2);
+  const std::size_t one = ch.bytes();
+  EXPECT_GT(one, 3 * sizeof(sat::Lit));  // the three literals plus their entry
+  for (int i = 0; i < 64; ++i) ch.publish(1, {pos(4), neg(5)}, 1);
+  EXPECT_GE(ch.bytes(), one + 64 * 2 * sizeof(sat::Lit));  // only grows
 }
 
 TEST(ClauseSharing, TwoSolversExchangeThroughChannel) {
@@ -182,17 +193,22 @@ TEST(ClauseSharing, SharingProducesTrafficAndConsistentCounters) {
   const Alg1Result result = run_alg1(ctx, opts);
   EXPECT_EQ(result.verdict, Verdict::Secure);
 
-  ASSERT_EQ(result.stats.per_worker.size(), 4u);
+  const util::MetricsSnapshot& m = result.metrics;
+  ASSERT_EQ(worker_rows(m), 4u);
   std::uint64_t exported = 0, imported = 0;
-  for (const auto& w : result.stats.per_worker) {
-    exported += w.exported_clauses;
-    imported += w.imported_clauses;
+  for (unsigned w = 0; w < 4; ++w) {
+    exported += m.get("sat.solver.w" + std::to_string(w) + ".exported_clauses");
+    imported += m.get("sat.solver.w" + std::to_string(w) + ".imported_clauses");
   }
   EXPECT_GT(exported, 0u);
   EXPECT_GT(imported, 0u);
-  EXPECT_EQ(result.stats.total.exported_clauses, exported);
-  EXPECT_EQ(result.stats.total.imported_clauses, imported);
-  EXPECT_EQ(ctx.scheduler.shared_clauses(), exported);
+  EXPECT_EQ(m.get("sat.solver.total.exported_clauses"), exported);
+  EXPECT_EQ(m.get("sat.solver.total.imported_clauses"), imported);
+  EXPECT_EQ(m.get("sat.channel.published"), exported);
+  // The channel's reserved memory is a gauge beside its traffic counters.
+  ASSERT_TRUE(m.has("sat.channel.bytes"));
+  EXPECT_EQ(m.entries().at("sat.channel.bytes").kind, util::MetricKind::Gauge);
+  EXPECT_GT(m.get("sat.channel.bytes"), 0u);
 
   const std::string report = render_report(ctx, result);
   EXPECT_NE(report.find("shared clauses"), std::string::npos) << report;
@@ -209,9 +225,10 @@ TEST(ClauseSharing, SharingOffPublishesNothing) {
   opts.extract_waveform = false;
   const Alg1Result result = run_alg1(ctx, opts);
   EXPECT_EQ(result.verdict, Verdict::Secure);
-  EXPECT_EQ(ctx.scheduler.shared_clauses(), 0u);
-  EXPECT_EQ(result.stats.total.exported_clauses, 0u);
-  EXPECT_EQ(result.stats.total.imported_clauses, 0u);
+  EXPECT_EQ(result.metrics.get("sat.channel.published"), 0u);
+  EXPECT_EQ(result.metrics.get("sat.solver.total.exported_clauses"), 0u);
+  EXPECT_EQ(result.metrics.get("sat.solver.total.imported_clauses"), 0u);
+  EXPECT_EQ(result.metrics.get("sat.channel.bytes"), 0u);  // no channel at all
 }
 
 } // namespace

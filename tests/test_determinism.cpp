@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "registry_rows.h"
 #include "upec/report.h"
 
 namespace upec {
@@ -73,8 +74,8 @@ TEST(Determinism, VulnerableAlg1IdenticalAcrossThreadCounts) {
   const Alg1Result par = verify_2cycle(soc, with_threads({}, 4));
   ASSERT_EQ(seq.verdict, Verdict::Vulnerable);
   expect_same_alg1(seq, par);
-  EXPECT_EQ(seq.stats.per_worker.size(), 1u);
-  EXPECT_EQ(par.stats.per_worker.size(), 4u);
+  EXPECT_EQ(worker_rows(seq.metrics), 1u);
+  EXPECT_EQ(worker_rows(par.metrics), 4u);
 }
 
 TEST(Determinism, SecureAlg1IdenticalAcrossThreadCounts) {
@@ -255,15 +256,16 @@ TEST(Determinism, SecurePreprocessToggleIdenticalAcrossThreadCounts) {
       if (preprocess && threads > 1) {
         // The simplifier really ran, shrank the formula, and never touched a
         // frozen variable (the soundness tripwire).
-        EXPECT_GE(par.stats.simplify.runs, 1u);
-        EXPECT_GT(par.stats.simplify.eliminated_vars, 0u);
-        EXPECT_EQ(par.stats.simplify.frozen_eliminations, 0u);
-        EXPECT_LT(par.stats.simplify.output_clauses, par.stats.simplify.input_clauses);
-        EXPECT_GT(par.stats.simplify.db_bytes, 0u);
-        EXPECT_GT(par.stats.simplify.elim_bytes, 0u);
+        const util::MetricsSnapshot& m = par.metrics;
+        EXPECT_GE(m.get("sat.simplify.runs"), 1u);
+        EXPECT_GT(m.get("sat.simplify.eliminated_vars"), 0u);
+        EXPECT_EQ(m.get("sat.simplify.frozen_eliminations"), 0u);
+        EXPECT_LT(m.get("sat.simplify.output_clauses"), m.get("sat.simplify.input_clauses"));
+        EXPECT_GT(m.get("sat.simplify.db_bytes"), 0u);
+        EXPECT_GT(m.get("sat.simplify.elim_bytes"), 0u);
       } else if (threads == 1) {
-        EXPECT_EQ(par.stats.simplify.runs, 0u);  // no scheduler, no preprocessing
-        EXPECT_EQ(par.stats.simplify.db_bytes, 0u);
+        EXPECT_EQ(par.metrics.get("sat.simplify.runs"), 0u);  // no fan-out, no preprocessing
+        EXPECT_EQ(par.metrics.get("sat.simplify.db_bytes"), 0u);
       }
     }
   }
@@ -285,8 +287,8 @@ TEST(Determinism, VulnerablePreprocessToggleIdentical) {
                    " preprocess=" + std::to_string(preprocess));
       expect_same_alg1(seq, par);
       if (preprocess && threads > 1) {
-        EXPECT_GE(par.stats.simplify.runs, 1u);
-        EXPECT_EQ(par.stats.simplify.frozen_eliminations, 0u);
+        EXPECT_GE(par.metrics.get("sat.simplify.runs"), 1u);
+        EXPECT_EQ(par.metrics.get("sat.simplify.frozen_eliminations"), 0u);
       }
     }
   }
@@ -310,10 +312,11 @@ TEST(Determinism, WorkerPathSearchFingerprint) {
   const Alg1Result a = verify_2cycle(soc, options, opts);
   const Alg1Result b = verify_2cycle(soc, options, opts);
   ASSERT_EQ(a.verdict, Verdict::Secure);
-  ASSERT_GE(a.stats.simplify.runs, 1u);
+  ASSERT_GE(a.metrics.get("sat.simplify.runs"), 1u);
   const auto counters = [](const Alg1Result& r) {
-    return std::vector<std::uint64_t>{r.stats.total.conflicts, r.stats.total.propagations,
-                                      r.stats.total.decisions};
+    return std::vector<std::uint64_t>{r.metrics.get("sat.solver.total.conflicts"),
+                                      r.metrics.get("sat.solver.total.propagations"),
+                                      r.metrics.get("sat.solver.total.decisions")};
   };
   EXPECT_EQ(counters(a), counters(b));
   EXPECT_EQ(counters(a), (std::vector<std::uint64_t>{15544, 8192436, 4661798}));
@@ -337,7 +340,7 @@ TEST(Determinism, VulnerableAlg2PreprocessToggleIdentical) {
   }
   EXPECT_EQ(off.persistent_hits, on.persistent_hits);
   EXPECT_EQ(off.full_cex, on.full_cex);
-  EXPECT_EQ(on.stats.simplify.frozen_eliminations, 0u);
+  EXPECT_EQ(on.metrics.get("sat.simplify.frozen_eliminations"), 0u);
 }
 
 TEST(Determinism, VulnerableAlg2IdenticalAcrossThreadCounts) {
@@ -423,10 +426,11 @@ TEST(Determinism, NonSaturatingModeStaysIdenticalAcrossThreadCounts) {
   const Alg1Result par = run_alg1(par_ctx, opts);
   expect_same_alg1(seq, par);
   // Every solve landed on worker 0; no sweep ran on the other workers.
-  ASSERT_EQ(par.stats.per_worker.size(), 4u);
-  EXPECT_GT(par.stats.per_worker[0].solve_calls, 0u);
-  for (std::size_t w = 1; w < par.stats.per_worker.size(); ++w) {
-    EXPECT_EQ(par.stats.per_worker[w].solve_calls, 0u) << "worker " << w;
+  ASSERT_EQ(worker_rows(par.metrics), 4u);
+  EXPECT_GT(par.metrics.get("sat.solver.w0.solve_calls"), 0u);
+  for (unsigned w = 1; w < 4; ++w) {
+    EXPECT_EQ(par.metrics.get("sat.solver.w" + std::to_string(w) + ".solve_calls"), 0u)
+        << "worker " << w;
   }
 }
 
@@ -436,10 +440,10 @@ TEST(Determinism, WorkerBreakdownAppearsInReport) {
   Alg1Options opts;
   opts.extract_waveform = false;
   const Alg1Result result = run_alg1(ctx, opts);
-  ASSERT_EQ(result.stats.per_worker.size(), 2u);
+  ASSERT_EQ(worker_rows(result.metrics), 2u);
   // Workers actually solved.
-  std::uint64_t worker_solves = 0;
-  for (const auto& w : result.stats.per_worker) worker_solves += w.solve_calls;
+  const std::uint64_t worker_solves = result.metrics.get("sat.solver.w0.solve_calls") +
+                                      result.metrics.get("sat.solver.w1.solve_calls");
   EXPECT_GT(worker_solves, 0u);
   const std::string report = render_report(ctx, result);
   EXPECT_NE(report.find("solver usage (2 workers)"), std::string::npos) << report;

@@ -201,7 +201,7 @@ TEST(SchedulerCheck, OneWorkerRunsInlineWithoutPreprocessing) {
 
   const SweepResult result = scheduler.sweep(miter, {hard}, {svt.of_register(r.index)}, 1);
   EXPECT_EQ(result.status, CheckStatus::Holds);
-  EXPECT_EQ(scheduler.shared_clauses(), 0u);
+  EXPECT_EQ(scheduler.metrics().get("sat.channel.published"), 0u);
   ASSERT_FALSE(hook_threads.empty());
   for (const std::thread::id& id : hook_threads) EXPECT_EQ(id, std::this_thread::get_id());
 }

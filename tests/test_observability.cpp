@@ -9,6 +9,7 @@
 // per-thread spans).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "registry_rows.h"
 #include "upec/report.h"
 #include "upec/report_json.h"
 #include "util/json.h"
@@ -184,13 +186,12 @@ TEST(MetricsAggregation, TotalsEqualSumOfPartsUnderPortfolio) {
   const Alg1Result r = run_alg1(ctx, opts);
   ASSERT_EQ(r.verdict, Verdict::Secure);
 
-  const util::MetricsSnapshot& m = r.stats.metrics;
+  const util::MetricsSnapshot& m = r.metrics;
   const char* leaves[] = {"conflicts",        "decisions",        "propagations",
                           "restarts",         "learned_clauses",  "deleted_clauses",
                           "exported_clauses", "imported_clauses", "solve_calls",
                           "chrono_backtracks", "carried_learnts"};
-  ASSERT_EQ(r.stats.per_worker.size(), 2u);
-  ASSERT_EQ(r.stats.per_worker_members.size(), 2u);
+  ASSERT_EQ(worker_rows(m), 2u);
   for (const char* leaf : leaves) {
     // total = sum of workers, in the registry itself.
     std::uint64_t worker_sum = 0;
@@ -198,29 +199,18 @@ TEST(MetricsAggregation, TotalsEqualSumOfPartsUnderPortfolio) {
       const std::string wp = "sat.solver.w" + std::to_string(w) + ".";
       worker_sum += m.get(wp + leaf);
       // worker = sum of its portfolio members.
-      const auto& members = r.stats.per_worker_members[w];
-      ASSERT_EQ(members.size(), 2u) << "worker " << w;
+      ASSERT_EQ(member_rows(m, w), 2u) << "worker " << w;
       std::uint64_t member_sum = 0;
-      for (unsigned j = 0; j < members.size(); ++j) {
+      for (unsigned j = 0; j < 2; ++j) {
         member_sum += m.get(wp + "m" + std::to_string(j) + "." + leaf);
       }
       EXPECT_EQ(m.get(wp + leaf), member_sum) << wp << leaf;
     }
     EXPECT_EQ(m.get(std::string("sat.solver.total.") + leaf), worker_sum) << leaf;
   }
-  // The typed structs are derived from the same registry — they must agree
-  // with it, and member rows must sum to their worker row.
-  EXPECT_EQ(r.stats.total.conflicts, m.get("sat.solver.total.conflicts"));
-  for (unsigned w = 0; w < 2; ++w) {
-    std::uint64_t member_conflicts = 0;
-    for (const sat::SolverStats& ms : r.stats.per_worker_members[w]) {
-      member_conflicts += ms.conflicts;
-    }
-    EXPECT_EQ(r.stats.per_worker[w].conflicts, member_conflicts) << "worker " << w;
-  }
   // Channel counters mirror the totals.
-  EXPECT_EQ(m.get("sat.channel.exported"), r.stats.total.exported_clauses);
-  EXPECT_EQ(m.get("sat.channel.imported"), r.stats.total.imported_clauses);
+  EXPECT_EQ(m.get("sat.channel.exported"), m.get("sat.solver.total.exported_clauses"));
+  EXPECT_EQ(m.get("sat.channel.imported"), m.get("sat.solver.total.imported_clauses"));
 }
 
 TEST(MetricsAggregation, ArenaGaugesCoverEverySolver) {
@@ -231,16 +221,18 @@ TEST(MetricsAggregation, ArenaGaugesCoverEverySolver) {
   Alg1Options opts;
   opts.extract_waveform = false;
   const Alg1Result r = run_alg1(ctx, opts);
-  const util::MetricsSnapshot& m = r.stats.metrics;
-  ASSERT_EQ(r.stats.per_worker.size(), 2u);
+  const util::MetricsSnapshot& m = r.metrics;
+  ASSERT_EQ(worker_rows(m), 2u);
   for (const char* name : {"sat.arena_bytes.w0", "sat.arena_bytes.w1"}) {
     ASSERT_TRUE(m.has(name)) << name;
     EXPECT_EQ(m.entries().at(name).kind, util::MetricKind::Gauge) << name;
     EXPECT_GT(m.get(name), 0u) << name;
   }
   // The simplifier's working database and reconstruction stack sit beside
-  // them (threads = 2 preprocesses).
-  for (const char* name : {"sat.simplify.db_bytes", "sat.simplify.elim_bytes"}) {
+  // them (threads = 2 preprocesses), and so does the clause channel (sharing
+  // is on by default).
+  for (const char* name :
+       {"sat.simplify.db_bytes", "sat.simplify.elim_bytes", "sat.channel.bytes"}) {
     ASSERT_TRUE(m.has(name)) << name;
     EXPECT_EQ(m.entries().at(name).kind, util::MetricKind::Gauge) << name;
     EXPECT_GT(m.get(name), 0u) << name;
@@ -260,11 +252,130 @@ TEST(MetricsAggregation, SingleSolverRunHasNoWorkerEntries) {
   Alg1Options opts;
   opts.extract_waveform = false;
   const Alg1Result r = run_alg1(ctx, opts);
-  const util::MetricsSnapshot& m = r.stats.metrics;
-  EXPECT_EQ(r.stats.per_worker.size(), 1u);
+  const util::MetricsSnapshot& m = r.metrics;
+  EXPECT_EQ(worker_rows(m), 1u);
   EXPECT_FALSE(m.has("sat.solver.w1.conflicts"));
   EXPECT_EQ(m.get("sat.solver.total.conflicts"), m.get("sat.solver.w0.conflicts"));
-  EXPECT_EQ(r.stats.total.conflicts, m.get("sat.solver.w0.conflicts"));
+}
+
+// ---------------------------------------------------------------------------
+// UsageBlock: the text report's solver-usage block, rendered from the
+// metrics registry. Pinned byte for byte on two configurations whose
+// counters repeat exactly; an intended search change regenerates the
+// strings, as with Sat.SearchFingerprint.
+// ---------------------------------------------------------------------------
+
+// The "solver usage" line and the lines that belong to it (frontier pruning,
+// preprocessing, and the indented worker / member / health lines).
+std::string solver_usage_block(const std::string& report) {
+  std::istringstream in(report);
+  std::string line;
+  std::string block;
+  while (std::getline(in, line)) {
+    const bool usage =
+        line.starts_with("solver usage (") ||
+        (!block.empty() && (line.starts_with("frontier pruning: ") ||
+                            line.starts_with("preprocessing: ") || line.starts_with("  ")));
+    if (!usage && !block.empty()) break;
+    if (usage) block += line + "\n";
+  }
+  return block;
+}
+
+TEST(UsageBlock, SingleWorkerDetectionIsPinned) {
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 4;
+  cfg.priv_ram_words = 2;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  VerifyOptions options;
+  options.threads = 1;
+  UpecContext ctx(soc, options);
+  const Alg1Result r = run_alg1(ctx);
+  ASSERT_EQ(r.verdict, Verdict::Vulnerable);
+  EXPECT_EQ(solver_usage_block(render_report(ctx, r)),
+            "solver usage (1 worker): 126 solves, 11750 conflicts, 410073 decisions, "
+            "7218216 propagations\n"
+            "  worker 0: 126 solves, 11750 conflicts, 410073 decisions, 7218216 propagations, "
+            "11733 learned\n");
+}
+
+TEST(UsageBlock, TwoWorkerPreprocessedSecureIsPinned) {
+  // The configuration of Determinism.WorkerPathSearchFingerprint: sharing
+  // off, so every worker's counters repeat exactly.
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 8;
+  cfg.priv_ram_words = 4;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  VerifyOptions options = countermeasure_options();
+  options.threads = 2;
+  options.preprocess = true;
+  options.share_clauses = false;
+  UpecContext ctx(soc, options);
+  Alg1Options opts;
+  opts.extract_waveform = false;
+  const Alg1Result r = run_alg1(ctx, opts);
+  ASSERT_EQ(r.verdict, Verdict::Secure);
+  EXPECT_EQ(solver_usage_block(render_report(ctx, r)),
+            "solver usage (2 workers): 138 solves, 15544 conflicts, 4661798 decisions, "
+            "8192436 propagations\n"
+            "frontier pruning: 237 candidates pruned by cores, 15486 learnts retained\n"
+            "preprocessing: 1 runs / 1 reuses, 12768 vars eliminated, 1398 subsumed, "
+            "9601 strengthened, 0 failed literals, 3 fixed; last run 67997 -> 40953 clauses\n"
+            "  worker 0: 70 solves, 7903 conflicts, 2936093 decisions, 4740238 propagations, "
+            "7876 learned\n"
+            "  worker 1: 68 solves, 7641 conflicts, 1725705 decisions, 3452198 propagations, "
+            "7610 learned\n");
+}
+
+TEST(UsageBlock, PortfolioMembersSumToTheirWorkerLine) {
+  // A portfolio race is not deterministic, so only the block's shape is
+  // pinned: each worker line is followed by one line per member, and the
+  // members' counts sum to the worker's.
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 8;
+  cfg.priv_ram_words = 4;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  VerifyOptions options = countermeasure_options();
+  options.threads = 2;
+  options.portfolio = 2;
+  UpecContext ctx(soc, options);
+  Alg1Options opts;
+  opts.extract_waveform = false;
+  const Alg1Result r = run_alg1(ctx, opts);
+  ASSERT_EQ(r.verdict, Verdict::Secure);
+
+  // solves, conflicts, decisions, propagations, learned.
+  using Counts = std::array<std::uint64_t, 5>;
+  const auto counts = [](const std::string& line) {
+    Counts c{};
+    std::istringstream in(line.substr(line.find(": ") + 2));
+    std::string word;
+    for (std::uint64_t& n : c) in >> n >> word;  // "<n> <name>,"
+    return c;
+  };
+  std::vector<Counts> workers;
+  std::vector<Counts> member_sums;
+  std::vector<unsigned> members;
+  std::istringstream in(solver_usage_block(render_report(ctx, r)));
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.starts_with("  worker ")) {
+      workers.push_back(counts(line));
+      member_sums.push_back(Counts{});
+      members.push_back(0);
+    } else if (line.starts_with("    member ")) {
+      ASSERT_FALSE(workers.empty()) << line;
+      const Counts c = counts(line);
+      for (std::size_t i = 0; i < c.size(); ++i) member_sums.back()[i] += c[i];
+      ++members.back();
+    }
+  }
+  ASSERT_EQ(workers.size(), 2u);
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    EXPECT_EQ(members[w], 2u) << "worker " << w;
+    EXPECT_EQ(member_sums[w], workers[w]) << "worker " << w;
+    EXPECT_GT(workers[w][0], 0u) << "worker " << w;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -418,11 +529,12 @@ TEST(JsonReport, Alg1ReportParsesBackAndMatchesResult) {
   const util::JsonValue* metrics = v.find("metrics");
   ASSERT_NE(metrics, nullptr);
   EXPECT_EQ(metrics->number_or("sat.solver.total.conflicts", -1),
-            static_cast<double>(r.stats.total.conflicts));
+            static_cast<double>(r.metrics.get("sat.solver.total.conflicts")));
   EXPECT_EQ(metrics->number_or("sat.solver.total.solve_calls", -1),
-            static_cast<double>(r.stats.total.solve_calls));
+            static_cast<double>(r.metrics.get("sat.solver.total.solve_calls")));
   EXPECT_EQ(metrics->number_or("upec.sweep.pruned_candidates", -1),
-            static_cast<double>(r.stats.pruned_candidates));
+            static_cast<double>(r.metrics.get("upec.sweep.pruned_candidates")));
+  EXPECT_EQ(v.find("workers")->number, static_cast<double>(worker_rows(r.metrics)));
 
   // config echo + hash: 16 lowercase hex digits, stable against re-rendering.
   const std::string& hash = v.find("config_hash")->string;
@@ -512,7 +624,7 @@ TEST(ProgressHook, FiresAtCadenceWithCumulativeCounters) {
     last = ev.conflicts;
     EXPECT_FALSE(ev.deadline_remaining_ms.has_value()); // no deadline configured
   }
-  EXPECT_LE(last, r.stats.total.conflicts);
+  EXPECT_LE(last, r.metrics.get("sat.solver.total.conflicts"));
 }
 
 TEST(ProgressHook, WorkersReportUnderTheirLabel) {

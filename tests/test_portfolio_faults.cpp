@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "registry_rows.h"
 #include "sat/backend.h"
 #include "sat/dimacs.h"
 #include "sat/fault.h"
@@ -512,11 +513,12 @@ TEST(FaultEndToEnd, HostileExternalSolverCannotChangeTheVerdict) {
   EXPECT_EQ(hostile.verdict, baseline.verdict);
   EXPECT_EQ(hostile.persistent_hits, baseline.persistent_hits);
   EXPECT_EQ(hostile.full_cex, baseline.full_cex);
-  ASSERT_EQ(hostile.stats.per_worker_health.size(), 1u);
-  const sat::BackendHealth& h = hostile.stats.per_worker_health[0];
-  EXPECT_TRUE(h.quarantined);
-  EXPECT_GE(h.external_failures, 1u);
-  EXPECT_GE(h.degraded_solves, 1u);
+  const util::MetricsSnapshot& m = hostile.metrics;
+  ASSERT_EQ(worker_rows(m), 1u);
+  ASSERT_TRUE(m.has("sat.health.w0.quarantined"));
+  EXPECT_EQ(m.get("sat.health.w0.quarantined"), 1u);
+  EXPECT_GE(m.get("sat.health.w0.external_failures"), 1u);
+  EXPECT_GE(m.get("sat.health.w0.degraded_solves"), 1u);
 }
 
 TEST(FaultEndToEnd, HostileExternalPortfolioMemberCannotChangeTheFrontiers) {
@@ -561,10 +563,10 @@ TEST(FaultEndToEnd, HostileExternalPortfolioMemberCannotChangeTheFrontiers) {
     // The external endpoint raced as the third member. At this size the
     // in-proc members usually answer before its garbage arrives, so it is
     // mostly cancelled; the test above covers the quarantine path.
-    ASSERT_EQ(hostile.stats.per_worker_members.size(), 1u);
-    EXPECT_EQ(hostile.stats.per_worker_members[0].size(), 3u);
-    ASSERT_EQ(hostile.stats.per_worker_health.size(), 1u);
-    EXPECT_GT(hostile.stats.per_worker_health[0].solves, 0u);
+    ASSERT_EQ(worker_rows(hostile.metrics), 1u);
+    EXPECT_EQ(member_rows(hostile.metrics, 0), 3u);
+    ASSERT_TRUE(hostile.metrics.has("sat.health.w0.solves"));
+    EXPECT_GT(hostile.metrics.get("sat.health.w0.solves"), 0u);
   }
 }
 

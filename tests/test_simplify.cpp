@@ -668,7 +668,8 @@ TEST(PreprocessPayoff, SecureAlg1WorkDropsByTenPercent) {
     for (int run = 0; run < 3; ++run) {
       const Alg1Result r = verify_2cycle(soc, options, alg);
       EXPECT_EQ(r.verdict, Verdict::Secure);
-      total += r.stats.total.conflicts + r.stats.total.propagations;
+      total += r.metrics.get("sat.solver.total.conflicts") +
+               r.metrics.get("sat.solver.total.propagations");
     }
     return total;
   };

@@ -120,9 +120,9 @@ TEST(UpecSsc, CountermeasureSecureUnderUnrollingWithWorkers) {
   EXPECT_EQ(result.final_k, 3u);
   ASSERT_TRUE(result.induction.has_value());
   EXPECT_EQ(result.induction->verdict, Verdict::Secure);
-  EXPECT_GE(result.stats.simplify.runs, 3u);
-  EXPECT_EQ(result.stats.simplify.frozen_eliminations, 0u);
-  EXPECT_GT(result.stats.total.carried_learnts, 0u);
+  EXPECT_GE(result.metrics.get("sat.simplify.runs"), 3u);
+  EXPECT_EQ(result.metrics.get("sat.simplify.frozen_eliminations"), 0u);
+  EXPECT_GT(result.metrics.get("sat.solver.total.carried_learnts"), 0u);
 }
 
 TEST(UpecSsc, HardwareGuardAlsoSecure) {
