@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace upec::sat {
 
@@ -22,8 +23,9 @@ void Solver::drop_problem_clauses() {
 }
 
 Var Solver::new_var() {
-  const Var v = static_cast<Var>(assigns_.size());
-  assigns_.push_back(LBool::Undef);
+  const Var v = num_vars();
+  vals_.push_back(LBool::Undef);
+  vals_.push_back(LBool::Undef);
   if (phase_seed_ == 0) {
     phase_.push_back(0);
   } else {
@@ -46,9 +48,11 @@ Var Solver::new_var() {
 
 Solver::ClauseRef Solver::alloc_clause(const std::vector<Lit>& lits, bool learnt,
                                        std::uint32_t lbd) {
-  assert(lits.size() >= 2 && lits.size() < (std::size_t{1} << 30));
+  assert(lits.size() >= 2);
+  if (!clause_fits(lit_arena_.size(), lits.size())) {
+    throw std::length_error("sat::Solver: clause arena exceeds 2^31 words");
+  }
   const auto c = static_cast<ClauseRef>(lit_arena_.size());
-  assert(c < kNoClause - lits.size() - 3);
   const auto size = static_cast<std::uint32_t>(lits.size());
   lit_arena_.resize(c + 1 + size + (learnt ? 2 : 0));
   set_word(c, size << 2 | (learnt ? 1u : 0u));
@@ -74,8 +78,9 @@ std::size_t Solver::allocated_clauses() const {
 void Solver::attach_clause(ClauseRef c) {
   const Lit* lits = clause_lits(c);
   assert(clause_size(c) >= 2);
-  watches_[(~lits[0]).index()].push_back(Watcher{c, lits[1]});
-  watches_[(~lits[1]).index()].push_back(Watcher{c, lits[0]});
+  const ClauseRef tagged = clause_size(c) == 2 ? c | kBinaryTag : c;
+  watches_[(~lits[0]).index()].push_back(Watcher{tagged, lits[1]});
+  watches_[(~lits[1]).index()].push_back(Watcher{tagged, lits[0]});
 }
 
 void Solver::detach_clause(ClauseRef c) {
@@ -83,7 +88,7 @@ void Solver::detach_clause(ClauseRef c) {
   for (int i = 0; i < 2; ++i) {
     auto& ws = watches_[(~lits[i]).index()];
     for (std::size_t j = 0; j < ws.size(); ++j) {
-      if (ws[j].cref == c) {
+      if ((ws[j].cref & ~kBinaryTag) == c) {
         ws[j] = ws.back();
         ws.pop_back();
         break;
@@ -127,14 +132,6 @@ bool Solver::add_clause(const std::vector<Lit>& lits_in) {
   return true;
 }
 
-void Solver::uncheckedEnqueue(Lit p, int level, ClauseRef from) {
-  assert(value(p) == LBool::Undef);
-  assert(level <= decision_level());
-  assigns_[static_cast<std::size_t>(p.var())] = lbool_from(!p.sign());
-  var_info_[static_cast<std::size_t>(p.var())] = VarInfo{from, level};
-  trail_.push_back(p);
-}
-
 Solver::ClauseRef Solver::propagate() {
   ClauseRef confl = kNoClause;
   while (qhead_ < trail_.size()) {
@@ -146,8 +143,26 @@ Solver::ClauseRef Solver::propagate() {
     const std::size_t n = ws.size();
     while (i < n) {
       const Watcher w = ws[i++];
-      if (value(w.blocker) == LBool::True) {
+      const LBool blocker_value = value(w.blocker);
+      if (blocker_value == LBool::True) {
         ws[j++] = w;
+        continue;
+      }
+      if (w.cref & kBinaryTag) {
+        // The blocker is the other literal: implied at p's level, or false
+        // and the clause conflicting. Only a conflict reads the record, to
+        // put ~p second as the long-clause path does.
+        ws[j++] = w;
+        const ClauseRef cr = w.cref & ~kBinaryTag;
+        if (blocker_value == LBool::Undef) {
+          uncheckedEnqueue(w.blocker, p_level, cr);
+          continue;
+        }
+        Lit* lits = clause_lits(cr);
+        if (lits[0] == ~p) std::swap(lits[0], lits[1]);
+        confl = cr;
+        qhead_ = trail_.size();
+        while (i < n) ws[j++] = ws[i++];
         continue;
       }
       Lit* lits = clause_lits(w.cref);
@@ -270,7 +285,7 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
   do {
     assert(confl != kNoClause);
     if (is_learnt(confl)) cla_bump_activity(confl);
-    const Lit* lits = clause_lits(confl);
+    const Lit* lits = p == Lit::undef() ? clause_lits(confl) : reason_lits(confl, p);
     const std::uint32_t size = clause_size(confl);
     for (std::uint32_t k = (p == Lit::undef()) ? 0 : 1; k < size; ++k) {
       const Lit q = lits[k];
@@ -374,7 +389,7 @@ bool Solver::lit_redundant(Lit p, std::uint32_t abstract_levels) {
     analyze_stack_.pop_back();
     const ClauseRef reason = var_info_[static_cast<std::size_t>(q.var())].reason;
     assert(reason != kNoClause);
-    const Lit* lits = clause_lits(reason);
+    const Lit* lits = reason_lits(reason, ~q);
     const std::uint32_t size = clause_size(reason);
     for (std::uint32_t k = 1; k < size; ++k) {
       const Lit r = lits[k];
@@ -428,7 +443,7 @@ void Solver::analyze_final(Lit p) {
       // the trail holds the assumption literal as passed by the caller.
       conflict_.push_back(trail_[i]);
     } else {
-      const Lit* lits = clause_lits(reason);
+      const Lit* lits = reason_lits(reason, trail_[i]);
       const std::uint32_t size = clause_size(reason);
       for (std::uint32_t k = 1; k < size; ++k) {
         if (var_info_[static_cast<std::size_t>(lits[k].var())].level > 0) {
@@ -455,7 +470,8 @@ void Solver::cancel_until(int target) {
       kept_.push_back(trail_[c]);
       continue;
     }
-    assigns_[static_cast<std::size_t>(v)] = LBool::Undef;
+    vals_[2 * static_cast<std::size_t>(v)] = LBool::Undef;
+    vals_[2 * static_cast<std::size_t>(v) + 1] = LBool::Undef;
     phase_[static_cast<std::size_t>(v)] = trail_[c].sign() ? -1 : 1;
     if (heap_pos_[static_cast<std::size_t>(v)] < 0) heap_insert(v);
   }
@@ -487,13 +503,13 @@ void Solver::reduce_db() {
   const std::size_t target = learnts_.size() / 2;
   for (std::size_t i = 0; i < learnts_.size(); ++i) {
     const ClauseRef cr = learnts_[i];
-    bool locked = false;
-    // A clause is locked if it is the reason for a current assignment.
-    const Lit l0 = clause_lits(cr)[0];
-    if (value(l0) == LBool::True &&
-        var_info_[static_cast<std::size_t>(l0.var())].reason == cr) {
-      locked = true;
-    }
+    // A clause is locked if it is the reason for a current assignment. The
+    // implied literal is lits[0], or either literal of a binary clause.
+    const auto implies = [&](Lit l) {
+      return value(l) == LBool::True && var_info_[static_cast<std::size_t>(l.var())].reason == cr;
+    };
+    const Lit* lits = clause_lits(cr);
+    const bool locked = implies(lits[0]) || (clause_size(cr) == 2 && implies(lits[1]));
     if (i < target && clause_lbd(cr) > 2 && !locked) {
       detach_clause(cr);
       delete_clause(cr);
@@ -511,6 +527,23 @@ void Solver::reduce_db() {
 }
 
 void Solver::garbage_collect() {
+#ifndef NDEBUG
+  // Watcher invariants (see "clause storage"): the tag marks exactly the
+  // binary clauses, and a binary watcher's blocker is the other literal.
+  for (std::size_t p = 0; p < watches_.size(); ++p) {
+    const Lit watched = ~Lit::from_index(static_cast<std::int32_t>(p));
+    for (const Watcher& w : watches_[p]) {
+      const ClauseRef c = w.cref & ~kBinaryTag;
+      assert(!is_deleted(c));
+      assert(((w.cref & kBinaryTag) != 0) == (clause_size(c) == 2));
+      if (clause_size(c) == 2) {
+        const Lit* lits = clause_lits(c);
+        assert((lits[0] == watched && lits[1] == w.blocker) ||
+               (lits[1] == watched && lits[0] == w.blocker));
+      }
+    }
+  }
+#endif
   // Forwarding pass: each record's first literal slot takes the offset the
   // record moves to (kNoClause for a deleted one); the displaced literals of
   // live records wait in `firsts`, in arena order. Every record has at least
@@ -534,7 +567,7 @@ void Solver::garbage_collect() {
   const auto forward = [this](ClauseRef c) { return word(c + 1); };
   for (ClauseRef& cr : learnts_) cr = forward(cr);
   for (auto& ws : watches_) {
-    for (Watcher& w : ws) w.cref = forward(w.cref);
+    for (Watcher& w : ws) w.cref = forward(w.cref & ~kBinaryTag) | (w.cref & kBinaryTag);
   }
   for (const Lit p : trail_) {
     ClauseRef& reason = var_info_[static_cast<std::size_t>(p.var())].reason;
@@ -571,7 +604,7 @@ bool Solver::import_foreign() {
     bool satisfied = false;
     bool in_range = true;
     for (const Lit l : sc.lits) {
-      if (static_cast<std::size_t>(l.var()) >= assigns_.size()) {
+      if (static_cast<std::size_t>(l.index()) >= vals_.size()) {
         in_range = false;  // exporter ran ahead of our snapshot; drop
         break;
       }
@@ -785,7 +818,8 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
         next = pick_branch_lit();
         if (next == Lit::undef()) {
           // All variables assigned: model found.
-          model_.assign(assigns_.begin(), assigns_.end());
+          model_.resize(vals_.size() / 2);
+          for (std::size_t v = 0; v < model_.size(); ++v) model_[v] = vals_[2 * v];
           cancel_until(0);
           return true;
         }

@@ -16,16 +16,25 @@
 //     so clauses are kept across calls and only the assumption set changes),
 //   - MiniSat's clause-allocator layout: each clause is one record in a
 //     single word arena, its header inline before its literals, so a watcher
-//     visit touches one memory region (see "clause storage" below).
+//     visit touches one memory region (see "clause storage" below),
+//   - a literal-indexed value table, so reading a literal's value is one
+//     load with no sign flip,
+//   - binary implications straight from the watcher: a binary clause's
+//     blocker is its other literal, so its watcher is tagged and propagate
+//     enqueues the blocker without touching the arena (Glucose and CaDiCaL
+//     keep binaries in the watcher the same way). A binary reason therefore
+//     puts its implied literal first lazily, where reasons are read.
 #pragma once
 
 #include <atomic>
 #include <bit>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sat/clause_sink.h"
@@ -112,7 +121,7 @@ public:
 
   // --- Problem construction (ClauseSink) -------------------------------------
   Var new_var() override;
-  int num_vars() const override { return static_cast<int>(assigns_.size()); }
+  int num_vars() const override { return static_cast<int>(vals_.size() / 2); }
 
   // Adds a clause; returns false if the formula became trivially UNSAT.
   bool add_clause(const std::vector<Lit>& lits) override;
@@ -262,6 +271,23 @@ public:
   // Clause records in the arena, deleted ones included until the next
   // garbage collection.
   std::size_t allocated_clauses() const;
+  // Compacts the arena in place, sliding every live record down over the
+  // deleted ones in arena order, and remaps every live ClauseRef (watchers,
+  // learnts_, trail reasons). reduce_db runs it once a quarter of the arena
+  // is dead; a call at any other time leaves the search as it was, since
+  // records, their literals, watch lists and learnts_ all keep their order.
+  void garbage_collect();
+
+  // The arena bound behind alloc_clause, which throws std::length_error in
+  // every build when it fails: a new clause of `num_lits` literals fits after
+  // `arena_words` words if its size fits the header and its whole record
+  // (header, literals, learnt trailer) ends within kMaxArenaWords, so every
+  // header offset stays below the watcher's binary tag bit.
+  static constexpr std::size_t kMaxArenaWords = std::size_t{1} << 31;
+  static constexpr bool clause_fits(std::size_t arena_words, std::size_t num_lits) {
+    return num_lits < (std::size_t{1} << 30) && arena_words <= kMaxArenaWords &&
+           num_lits + 3 <= kMaxArenaWords - arena_words;
+  }
 
 private:
   // --- clause storage ----------------------------------------------------------
@@ -272,12 +298,26 @@ private:
   // exist only for learnt clauses and hold the LBD and the activity's float
   // bits. A problem clause thus costs one word beyond its literals, a learnt
   // clause three. Clauses of fewer than two literals are never stored.
-  // A ClauseRef is the offset of a record's header word.
+  // A ClauseRef is the offset of a record's header word, always below
+  // kMaxArenaWords (2^31); reasons and learnts_ hold it untagged.
+  //
+  // A watcher in watches_[p] belongs to a clause containing ~p; its blocker
+  // is another literal of that clause. A binary clause's watcher carries
+  // kBinaryTag in its cref, and its blocker is always the clause's other
+  // literal, so propagate implies or refutes it from the watcher alone and
+  // never reorders the binary record when it implies. Literal order inside
+  // a binary record is therefore lazy: propagate still swaps a conflicting
+  // binary so that lits[1] == ~p, and the readers of reasons (analyze,
+  // lit_redundant, analyze_final) swap a binary reason's implied literal into
+  // lits[0] before they skip it. Conflict analysis, minimization and cores
+  // thus read the order an eager swap at implication time would have left;
+  // only for_each_problem_clause may list a binary's literals the other way.
   using ClauseRef = std::uint32_t;
   static constexpr ClauseRef kNoClause = std::numeric_limits<ClauseRef>::max();
+  static constexpr ClauseRef kBinaryTag = ClauseRef{1} << 31;
 
   struct Watcher {
-    ClauseRef cref;
+    ClauseRef cref;  // header offset, | kBinaryTag for a binary clause
     Lit blocker;
   };
 
@@ -310,10 +350,14 @@ private:
     set_word(c + 2 + clause_size(c), std::bit_cast<std::uint32_t>(a));
   }
 
-  LBool value(Var v) const { return assigns_[static_cast<std::size_t>(v)]; }
-  LBool value(Lit l) const {
-    LBool v = assigns_[static_cast<std::size_t>(l.var())];
-    return l.sign() ? lbool_not(v) : v;
+  LBool value(Var v) const { return vals_[2 * static_cast<std::size_t>(v)]; }
+  LBool value(Lit l) const { return vals_[static_cast<std::size_t>(l.index())]; }
+  // Swaps the implied literal of the reason `c` into lits[0]; only a binary
+  // reason can hold it in lits[1] (see "clause storage").
+  Lit* reason_lits(ClauseRef c, Lit implied) {
+    Lit* lits = clause_lits(c);
+    if (lits[0] != implied) std::swap(lits[0], lits[1]);
+    return lits;
   }
 
   // Appends a record; `lbd` is stored only for learnt clauses.
@@ -330,15 +374,18 @@ private:
   // ordered by assignment time, not by level (chronological backtracking).
   // An implied literal's level is the highest level among the other
   // literals of its reason.
-  void uncheckedEnqueue(Lit p, int level, ClauseRef from);
+  void uncheckedEnqueue(Lit p, int level, ClauseRef from) {
+    assert(value(p) == LBool::Undef);
+    assert(level <= decision_level());
+    vals_[static_cast<std::size_t>(p.index())] = LBool::True;
+    vals_[static_cast<std::size_t>((~p).index())] = LBool::False;
+    var_info_[static_cast<std::size_t>(p.var())] = VarInfo{from, level};
+    trail_.push_back(p);
+  }
   // Drains the import hook into import_buf_; if clauses arrived, backtracks
   // to the root and attaches them. Returns false on a root-level conflict
   // (the formula, shared clauses included, is UNSAT outright).
   bool import_foreign();
-  // Compacts lit_arena_ in place, sliding every live record down over the
-  // deleted ones in arena order, and remaps every live ClauseRef (watchers,
-  // learnts_, trail reasons).
-  void garbage_collect();
   ClauseRef propagate();
   // Highest level among the (all false) literals of `confl`. Moves the two
   // highest-level literals into the watched slots, highest first. `forced`
@@ -377,7 +424,7 @@ private:
   std::vector<ClauseRef> learnts_;
   std::vector<std::vector<Watcher>> watches_; // indexed by literal index
 
-  std::vector<LBool> assigns_;
+  std::vector<LBool> vals_;   // indexed by literal index: the literal's value
   std::vector<LBool> model_;
   std::vector<signed char> phase_; // saved phase per var (< 0 = negative)
   std::vector<VarInfo> var_info_;

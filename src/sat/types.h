@@ -43,7 +43,6 @@ inline Lit mk_lit(Var v) { return Lit(v, false); }
 // Ternary assignment value.
 enum class LBool : std::uint8_t { False = 0, True = 1, Undef = 2 };
 
-inline LBool lbool_from(bool b) { return b ? LBool::True : LBool::False; }
 inline LBool lbool_not(LBool v) {
   if (v == LBool::Undef) return LBool::Undef;
   return v == LBool::True ? LBool::False : LBool::True;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <ostream>
+#include <utility>
 
 #include "util/rng.h"
 
@@ -659,6 +661,115 @@ TEST(Sat, ArenaAccounting) {
   EXPECT_GE(s.arena_bytes(), s.arena_size() * sizeof(Lit));
 }
 
+// Differential check of binary reasons against brute force: random 2-/3-SAT
+// mixes over 8 to 14 variables, about 45% binary and below the threshold,
+// each solved under eight assumption sets. Every answer must match the
+// oracle; a model must satisfy the formula and the assumptions; a core must
+// be a subset of the assumptions that a fresh solver, given the formula and
+// the core alone, refutes. Each set is checked three times: as loaded,
+// after a forced garbage collection, and after drop_problem_clauses switches
+// to a new generation of the same formula, which keeps the learnt binaries.
+// A learnt cap of 4 runs reduce_db and the collector mid-search as well.
+TEST(Sat, BinaryReasonsMatchBruteForce) {
+  std::uint64_t sat_answers = 0, unsat_answers = 0, carried_binaries = 0;
+  for (int seed = 0; seed < 150; ++seed) {
+    Xoshiro256 rng(7000 + static_cast<std::uint64_t>(seed));
+    const int n = 8 + static_cast<int>(rng.below(7));
+    IntClauses clauses =
+        random_clauses(rng, n, 2, 2, n * 7 / 10 + static_cast<int>(rng.below(n * 3 / 10)));
+    for (auto& cl : random_clauses(rng, n, 3, 3, n * 8 / 10 + static_cast<int>(rng.below(n / 2)))) {
+      clauses.push_back(cl);
+    }
+    const auto to_lit = [](int lit) { return Lit(std::abs(lit) - 1, lit < 0); };
+    const auto add_formula = [&](Solver& solver) {
+      while (solver.num_vars() < n) solver.new_var();
+      for (const auto& cl : clauses) {
+        std::vector<Lit> lits;
+        for (int lit : cl) lits.push_back(to_lit(lit));
+        solver.add_clause(lits);
+      }
+    };
+    // Each assumption set with its brute-force answer: the formula plus the
+    // assumptions as unit clauses.
+    std::vector<std::pair<std::vector<Lit>, bool>> cases;
+    for (int k = 0; k < 8; ++k) {
+      IntClauses with_units = clauses;
+      std::vector<Lit> assumptions;
+      for (int i = 0, size = 1 + static_cast<int>(rng.below(4)); i < size; ++i) {
+        const int v = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+        const int lit = rng.chance(0.5) ? -v : v;
+        with_units.push_back({lit});
+        assumptions.push_back(to_lit(lit));
+      }
+      cases.emplace_back(assumptions, brute_force_sat(with_units, n));
+    }
+
+    Solver s;
+    s.set_max_learnts(4);
+    int phase = 0;
+    s.set_export_hook(
+        [&](const std::vector<Lit>& lits, unsigned) {
+          carried_binaries += phase < 2 && lits.size() == 2;
+        },
+        /*lbd_cap=*/~0u, /*size_cap=*/~0u);
+    add_formula(s);
+    for (; phase < 3; ++phase) {
+      if (phase == 1) {
+        s.garbage_collect();
+        EXPECT_EQ(s.arena_garbage(), 0u);
+      } else if (phase == 2) {
+        s.drop_problem_clauses();
+        add_formula(s);
+      }
+      for (const auto& [assumptions, expected] : cases) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " phase " << phase);
+        ASSERT_EQ(s.solve(assumptions), expected);
+        if (expected) {
+          ++sat_answers;
+          EXPECT_EQ(s.validate_model(), 0u);
+          for (const Lit a : assumptions) EXPECT_TRUE(s.model_value(a));
+          continue;
+        }
+        ++unsat_answers;
+        const std::vector<Lit> core = s.conflict_assumptions();
+        for (const Lit l : core) {
+          EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), l), assumptions.end())
+              << "core literal not among the assumptions";
+        }
+        Solver fresh;
+        add_formula(fresh);
+        for (const Lit l : core) fresh.add_clause(l);
+        EXPECT_FALSE(fresh.solve());
+      }
+    }
+  }
+  // The corpus exercises both answers, and the generation switches carry
+  // learnt binaries (a binary learnt has LBD <= 2, so reduce_db keeps it).
+  EXPECT_GT(sat_answers, 1000u);
+  EXPECT_GT(unsat_answers, 1000u);
+  EXPECT_GT(carried_binaries, 20u);
+}
+
+TEST(Sat, ArenaBoundIsCheckedAtTheLimit) {
+  // A clause needs its literals plus up to three words (header, LBD,
+  // activity), and every header offset must stay below the binary tag bit.
+  constexpr std::size_t kMax = Solver::kMaxArenaWords;
+  static_assert(kMax == std::size_t{1} << 31);
+  EXPECT_TRUE(Solver::clause_fits(0, 2));
+  EXPECT_TRUE(Solver::clause_fits(kMax - 5, 2));
+  EXPECT_FALSE(Solver::clause_fits(kMax - 4, 2));
+  EXPECT_TRUE(Solver::clause_fits(kMax - 1003, 1000));
+  EXPECT_FALSE(Solver::clause_fits(kMax - 1002, 1000));
+  EXPECT_FALSE(Solver::clause_fits(kMax, 2));
+  EXPECT_FALSE(Solver::clause_fits(kMax + 1, 2));
+  // No wrap-around on huge inputs.
+  EXPECT_FALSE(Solver::clause_fits(std::numeric_limits<std::size_t>::max(), 2));
+  EXPECT_FALSE(Solver::clause_fits(0, std::numeric_limits<std::size_t>::max()));
+  // The header holds the size in 30 bits.
+  EXPECT_TRUE(Solver::clause_fits(0, (std::size_t{1} << 30) - 1));
+  EXPECT_FALSE(Solver::clause_fits(0, std::size_t{1} << 30));
+}
+
 TEST(Sat, GarbageCollectionKeepsSolverUsable) {
   // Same workload but guarded by an assumption, so the solver survives the
   // UNSAT answer: after reductions + compaction all watcher and reason
@@ -746,6 +857,73 @@ TEST(Sat, SearchFingerprint) {
     EXPECT_EQ(sat_answers, 3);
     EXPECT_EQ(counters_of(s.stats()), (SearchCounters{28173, 1097490, 33753, 28173, 24084, 0}));
   }
+}
+
+// FNV-1a over the eight bytes of `x`, for the answer digest below.
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t x) {
+  for (int i = 0; i < 8; ++i) h = (h ^ ((x >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+  return h;
+}
+
+// The same pin for binary clauses, whose implications propagate straight
+// from the watcher and whose records are reordered only where they are
+// read. Random 3-SAT near the threshold over 200 variables plus 60 random
+// binary clauses; every variable x has a twin y tied to it by (¬x ∨ y) and
+// (x ∨ ¬y), and each ternary literal names x or y at random, so 460 of the
+// 1120 problem clauses are binary and most implications run through them.
+// Each round assumes 4 random literals and then kChronoThreshold + 30
+// padding literals: learnt clauses over the first four levels backtrack
+// chronologically, and a learnt cap of 40 runs reduce_db and the collector
+// while binary reasons sit on the trail. The digest covers every round's
+// verdict and its model or core. The expected values were computed with the
+// eager solver, which reordered a binary record at each implication.
+TEST(Sat, BinaryHeavySearchFingerprint) {
+  Xoshiro256 rng(2026);
+  constexpr int kVars = 200;
+  Solver s;
+  s.set_max_learnts(40);
+  std::vector<Var> vars, twins;
+  for (int i = 0; i < kVars; ++i) vars.push_back(s.new_var());
+  IntClauses clauses = random_clauses(rng, kVars, 2, 2, 60);
+  for (auto& cl : random_clauses(rng, kVars, 3, 3, 660)) clauses.push_back(cl);
+  for (int i = 0; i < kVars; ++i) {
+    twins.push_back(s.new_var());
+    ASSERT_TRUE(s.add_clause(neg(vars[i]), pos(twins[i])));
+    ASSERT_TRUE(s.add_clause(pos(vars[i]), neg(twins[i])));
+  }
+  for (const auto& cl : clauses) {
+    std::vector<Lit> lits;
+    for (int lit : cl) {
+      const auto i = static_cast<std::size_t>(std::abs(lit) - 1);
+      lits.push_back(Lit(rng.chance(0.5) ? twins[i] : vars[i], lit < 0));
+    }
+    ASSERT_TRUE(s.add_clause(lits));
+  }
+  std::vector<Var> padding;
+  for (int i = 0; i < Solver::kChronoThreshold + 30; ++i) padding.push_back(s.new_var());
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  int sat_answers = 0;
+  for (int round = 0; round < 24; ++round) {
+    std::vector<Lit> assumptions;
+    for (int i = 0; i < 4; ++i) {
+      assumptions.push_back(Lit(vars[rng.below(kVars)], rng.chance(0.5)));
+    }
+    for (const Var v : padding) assumptions.push_back(Lit(v, rng.chance(0.5)));
+    const bool sat = s.solve(assumptions);
+    digest = fnv_mix(digest, sat);
+    if (sat) {
+      ++sat_answers;
+      EXPECT_EQ(s.validate_model(), 0u);
+      for (Var v = 0; v < s.num_vars(); ++v) digest = fnv_mix(digest, s.model_value(v));
+    } else {
+      for (const Lit l : s.conflict_assumptions()) {
+        digest = fnv_mix(digest, static_cast<std::uint64_t>(l.index()));
+      }
+    }
+  }
+  EXPECT_EQ(sat_answers, 14);
+  EXPECT_EQ(counters_of(s.stats()), (SearchCounters{2277, 205280, 3180, 2276, 1903, 47}));
+  EXPECT_EQ(digest, 0x9b334f97081f3782ULL);
 }
 
 } // namespace
