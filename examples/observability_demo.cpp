@@ -6,7 +6,7 @@
 //   * trace.json  — Chrome trace-event stream (load in Perfetto or
 //                   chrome://tracing): encode/simplify/sweep/solve spans plus
 //                   solver progress counter tracks,
-//   * report.json — the upec-report-v3 JSON report (verdict, iterations,
+//   * report.json — the upec-report-v4 JSON report (verdict, iterations,
 //                   config hash, unified metrics registry),
 //
 // and prints the usual text report plus the progress heartbeats to stdout.
@@ -61,6 +61,6 @@ int main(int argc, char** argv) {
   std::fputc('\n', f);
   std::fclose(f);
 
-  std::printf("wrote %s (Perfetto-loadable) and %s (upec-report-v3)\n", trace_path, report_path);
+  std::printf("wrote %s (Perfetto-loadable) and %s (upec-report-v4)\n", trace_path, report_path);
   return result.verdict == Verdict::Vulnerable ? 0 : 1;
 }

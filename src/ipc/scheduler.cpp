@@ -6,7 +6,6 @@
 #include <string>
 
 #include "sat/metrics.h"
-#include "sat/portfolio.h"
 #include "util/trace.h"
 
 namespace upec::ipc {
@@ -15,16 +14,14 @@ namespace {
 
 unsigned worker_count(const SchedulerOptions& o) { return o.threads == 0 ? 1 : o.threads; }
 
-// Solvers per worker: its portfolio members plus the external endpoint, if any.
-unsigned solvers_per_worker(const SchedulerOptions& o) {
-  return (o.portfolio == 0 ? 1 : o.portfolio) + (o.external_argv.empty() ? 0u : 1u);
+// The one fan-out test: more than one worker, or an external endpoint (the
+// second solver behind a supervised worker). It gates the clause channel (a
+// lone solver only reads its own publishes), snapshot preprocessing (see
+// SchedulerOptions::preprocess) and the worker threads (a single in-proc
+// worker runs inline on the caller).
+bool fans_out(const SchedulerOptions& o) {
+  return worker_count(o) > 1 || !o.external_argv.empty();
 }
-
-// The one fan-out test: more than one solver behind the backends. It gates the
-// clause channel (a lone solver only reads its own publishes), snapshot
-// preprocessing (see SchedulerOptions::preprocess) and the worker threads (a
-// single worker runs inline on the caller).
-bool fans_out(const SchedulerOptions& o) { return worker_count(o) * solvers_per_worker(o) > 1; }
 
 } // namespace
 
@@ -33,12 +30,6 @@ CheckScheduler::CheckScheduler(sat::CnfStore& store, SchedulerOptions options)
       options_(std::move(options)),
       pool_(fans_out(options_) ? worker_count(options_) : 0) {
   const unsigned n = worker_count(options_);
-  const unsigned members = options_.portfolio == 0 ? 1 : options_.portfolio;
-  const bool external = !options_.external_argv.empty();
-  // Channel ids must be globally unique across every solver on the channel,
-  // so worker w's participants live at stride * w (the plain 1-member,
-  // no-external case degenerates to id == w, exactly the pre-portfolio ids).
-  const unsigned stride = solvers_per_worker(options_);
   if (options_.share_clauses && fans_out(options_)) {
     channel_ = std::make_unique<sat::ClauseChannel>();
   }
@@ -49,20 +40,13 @@ CheckScheduler::CheckScheduler(sat::CnfStore& store, SchedulerOptions options)
 
   backends_.reserve(n);
   for (unsigned w = 0; w < n; ++w) {
+    // Channel id w: each worker has at most one in-proc solver that publishes
+    // (its own, or the supervised backend's fallback).
     std::unique_ptr<sat::SolverBackend> backend;
-    if (members > 1) {
-      sat::PortfolioOptions po;
-      po.members = members;
-      po.conflict_budget = options_.conflict_budget;
-      po.seed = options_.portfolio_seed + w;  // distinct diversity stream per worker
-      po.external = external;
-      po.pipe = pipe;
-      po.supervise = options_.supervise;
-      backend = std::make_unique<sat::PortfolioBackend>(po, channel_.get(), w * stride);
-    } else if (external) {
+    if (!options_.external_argv.empty()) {
       backend = std::make_unique<sat::SupervisedBackend>(pipe, options_.supervise,
                                                          options_.conflict_budget, channel_.get(),
-                                                         w * stride);
+                                                         w);
     } else {
       backend = std::make_unique<sat::InprocBackend>(options_.conflict_budget, channel_.get(), w);
     }
@@ -84,8 +68,8 @@ CheckScheduler::CheckScheduler(sat::CnfStore& store, SchedulerOptions options)
 }
 
 util::MetricsSnapshot CheckScheduler::metrics() const {
-  // Every aggregate is a registry merge (counters sum, gauges max): a worker
-  // row is the merge of its members, the total the merge of the workers.
+  // Every aggregate is a registry merge (counters sum, gauges max): the total
+  // is the merge of the worker rows.
   util::MetricsSnapshot out;
   util::MetricsSnapshot total;
   std::uint64_t live_learnts = 0;
@@ -94,14 +78,7 @@ util::MetricsSnapshot CheckScheduler::metrics() const {
     const std::string k = std::to_string(w);
     const std::string wp = "sat.solver.w" + k + ".";
     util::MetricsSnapshot wm;
-    const std::vector<sat::SolverStats> members = backend.member_stats();
-    if (members.empty()) sat::append_metrics(wm, backend.stats());
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      util::MetricsSnapshot mm;
-      sat::append_metrics(mm, members[m]);
-      out.merge_prefixed(wp + "m" + std::to_string(m) + ".", mm);
-      wm.merge(mm);
-    }
+    sat::append_metrics(wm, backend.stats());
     out.merge_prefixed(wp, wm);
     total.merge(wm);
 

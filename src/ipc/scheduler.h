@@ -28,7 +28,7 @@
 // and phases across the switch (sat/backend.h, InprocBackend::sync).
 //
 // Fan-out: only a scheduler whose backends hold more than one solver (several
-// workers, portfolio members or an external endpoint) pays for fan-out
+// workers, or an external endpoint behind each worker) pays for fan-out
 // machinery — worker threads, the clause channel and snapshot preprocessing.
 // A single in-proc worker runs inline on the calling thread on the raw store.
 //
@@ -90,17 +90,9 @@ struct SchedulerOptions {
   std::uint64_t conflict_budget = 0;  // per solve call; 0 = unlimited
   // Workers exchange low-LBD learnt clauses through a ClauseChannel (PR 3).
   bool share_clauses = true;
-  // Portfolio racing: each worker becomes `portfolio` diversified in-proc
-  // solvers racing every query, first definitive answer wins, losers are
-  // cancelled (sat/portfolio.h). 1 (default) = plain single-solver workers.
-  // Members share clauses through the same channel as the workers, with
-  // globally unique ids (worker * stride + member).
-  unsigned portfolio = 1;
-  std::uint64_t portfolio_seed = 0x5eedULL;
   // External DIMACS solver command (empty = in-proc only). Each worker gets a
   // SupervisedBackend around this command — retry, quarantine, degrade-to-
-  // in-proc (sat/supervise.h) — or, combined with portfolio > 1, one
-  // supervised external member racing alongside the in-proc members.
+  // in-proc (sat/supervise.h) — instead of a plain InprocBackend.
   std::vector<std::string> external_argv;
   std::uint32_t external_deadline_ms = 10'000;  // per external solve
   sat::SuperviseOptions supervise;
@@ -125,10 +117,10 @@ struct SchedulerOptions {
   // so the provider only covers what the encode/upec layers know about
   // (Miter::frozen_vars / UpecContext::frozen_vars).
   std::function<std::vector<sat::Var>()> frozen_vars;
-  // Progress heartbeat: every `progress_every` conflicts each worker's
-  // in-proc solver(s) invoke `progress` with the worker index. The callback
-  // fires on worker (and portfolio racer) threads concurrently — it must be
-  // thread-safe. 0 disables. Purely observational (Solver::SolverProgress).
+  // Progress heartbeat: every `progress_every` conflicts each in-proc
+  // worker solver invokes `progress` with the worker index. The callback
+  // fires on worker threads concurrently — it must be thread-safe. 0
+  // disables. Purely observational (Solver::SolverProgress).
   std::uint64_t progress_every = 0;
   std::function<void(unsigned worker, const sat::SolverProgress&)> progress;
 };
@@ -164,8 +156,8 @@ public:
   // Cumulative statistics of every worker, the clause channel and the
   // simplifier, as one registry (util/metrics.h; names in README
   // "Observability"):
-  //   sat.solver.w<k>.*       worker k's SolverStats (under a portfolio, the
-  //                           merge of its members' sat.solver.w<k>.m<j>.*)
+  //   sat.solver.w<k>.*       worker k's SolverStats (a supervised worker's
+  //                           sums its external endpoint and its fallback)
   //   sat.solver.total.*      merge of every worker row
   //   sat.health.w<k>.*       worker k's BackendHealth
   //   sat.arena_bytes.w<k>    worker k's clause arena (gauge)
@@ -177,7 +169,7 @@ public:
   util::MetricsSnapshot metrics() const;
 
   // The worker backends. backend(0) answers check() and is the miter's model
-  // source; tests inspect portfolio/supervised internals through the others.
+  // source; tests inspect supervised internals through the others.
   sat::SolverBackend& backend(unsigned w) { return *backends_[w]; }
 
   // True iff snapshot preprocessing is active.

@@ -2,10 +2,10 @@
 //
 // A backend receives the formula exclusively through CnfSnapshot syncs and
 // answers assumption-based queries; it never sees the encode layer. This is
-// the seam that lets the check scheduler treat its workers uniformly today
-// (in-process CDCL solvers hydrated from the store) and lets future PRs plug
-// in external or portfolio solvers (e.g. a DIMACS-pipe backend over the
-// snapshot export in sat/dimacs.h) without touching the verification loops.
+// the seam that lets the check scheduler treat its workers uniformly: each
+// worker holds one backend, either an in-process CDCL solver hydrated from
+// the store (InprocBackend below) or a supervised external DIMACS solver
+// with an in-proc fallback (sat/supervise.h over sat/pipe_backend.h).
 #pragma once
 
 #include <chrono>
@@ -29,7 +29,7 @@ inline const char* to_string(SolveStatus s) {
   return "unknown";
 }
 
-// Robustness counters for supervised / portfolio backends: how often the
+// Robustness counters for supervised backends: how often the
 // endpoint answered, failed, was restarted, timed out, fell back to the
 // in-proc solver, or got quarantined. Plain in-proc backends report zeros
 // (they cannot fail externally). Aggregated per worker into the report.
@@ -42,23 +42,8 @@ struct BackendHealth {
   std::uint64_t restarts = 0;           // retry attempts after such failures
   std::uint64_t timeouts = 0;           // failures that were wall-clock hits
   std::uint64_t degraded_solves = 0;    // answered by the in-proc fallback
-  std::uint64_t cancelled = 0;          // portfolio losers stopped by a winner
   bool quarantined = false;             // endpoint benched for this run
 };
-
-inline BackendHealth& operator+=(BackendHealth& a, const BackendHealth& b) {
-  a.solves += b.solves;
-  a.sat += b.sat;
-  a.unsat += b.unsat;
-  a.unknown += b.unknown;
-  a.external_failures += b.external_failures;
-  a.restarts += b.restarts;
-  a.timeouts += b.timeouts;
-  a.degraded_solves += b.degraded_solves;
-  a.cancelled += b.cancelled;
-  a.quarantined = a.quarantined || b.quarantined;
-  return a;
-}
 
 class SolverBackend : public ModelSource {
 public:
@@ -95,18 +80,13 @@ public:
   virtual void clear_deadline() {}
 
   // True iff the last solve() returned Unknown because of the wall clock
-  // (deadline or per-solve timeout), as opposed to a conflict budget,
-  // cancellation, or an external-solver failure. Drives the `timed_out`
-  // reason in verification reports.
+  // (deadline or per-solve timeout), as opposed to a conflict budget or an
+  // external-solver failure. Drives the `timed_out` reason in verification
+  // reports.
   virtual bool last_timed_out() const { return false; }
 
   // Robustness counters (see BackendHealth). Zeros for plain backends.
   virtual BackendHealth health() const { return {}; }
-
-  // Per-member breakdown for composite backends (portfolio): one SolverStats
-  // per participant, summing exactly to stats(). Empty for single-solver
-  // backends — callers treat that as "stats() is the only participant".
-  virtual std::vector<SolverStats> member_stats() const { return {}; }
 
   // Installs a progress heartbeat on every in-proc solver this backend owns
   // (see Solver::set_progress_hook). External children have no hook; their

@@ -32,9 +32,9 @@ void write_dimacs(std::ostream& os, const CnfSnapshot& snapshot,
 // store again, serializes only the clauses appended since the cached prefix.
 // The header and assumption units are regenerated per write, so the output is
 // byte-identical to write_dimacs(os, snapshot, assumptions) — asserted by the
-// portfolio fault suite. A different store id (or a shrunk / renumbered view)
-// drops the cache and rebuilds from scratch, so correctness never depends on
-// the caller's sync discipline.
+// external-solver fault suite. A different store id (or a shrunk / renumbered
+// view) drops the cache and rebuilds from scratch, so correctness never
+// depends on the caller's sync discipline.
 class DimacsCache {
 public:
   void write(std::ostream& os, const CnfSnapshot& snapshot,

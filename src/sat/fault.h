@@ -5,7 +5,7 @@
 // those happen on demand in CI, so the embedded self-exec solver
 // (sat::self_solver_main) accepts a fault spec and misbehaves *on purpose*,
 // in exactly one of the ways below, at a deterministic point in its output.
-// test_portfolio_faults drives every class through the full backend →
+// test_external_faults drives every class through the full backend →
 // supervisor → scheduler path and asserts the contract: a faulty solver may
 // cost time, never an answer — and never a *wrong* answer.
 //

@@ -42,7 +42,6 @@ void append_metrics(util::MetricsSnapshot& out, const SimplifyStats& stats) {
 }
 
 void append_metrics(util::MetricsSnapshot& out, const BackendHealth& health) {
-  out.add_counter("cancelled", health.cancelled);
   out.add_counter("degraded_solves", health.degraded_solves);
   out.add_counter("external_failures", health.external_failures);
   out.add_counter("restarts", health.restarts);

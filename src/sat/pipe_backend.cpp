@@ -178,10 +178,6 @@ SolveStatus PipeBackend::solve(const std::vector<Lit>& assumptions) {
   if (deadline <= now) return unknown("deadline already expired", true);
 
   util::Subprocess child;
-  child.set_cancel_flag(cancel_flag_);
-  if (cancel_flag_ != nullptr && cancel_flag_->load(std::memory_order_relaxed)) {
-    return unknown("cancelled");
-  }
   if (!child.spawn(options_.argv)) return unknown("spawn failed");
   last_pid_ = child.pid();
 

@@ -11,8 +11,8 @@
 // `s UNSATISFIABLE`, yields Unknown. A claimed model is additionally
 // validated against every snapshot clause and assumption before it is
 // believed — a *lying* solver costs a solve, never a verdict. The only
-// trusted claim is UNSAT, the same trust every portfolio places in its
-// members; everything else is checked.
+// trusted claim is UNSAT, the same trust the scheduler places in its
+// in-proc workers; everything else is checked.
 //
 // Self-exec fallback: the embedded CDCL solver doubles as the external
 // binary. A host program whose main() calls self_solver_main() first can be
@@ -24,7 +24,6 @@
 
 #include <sys/types.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -102,11 +101,6 @@ public:
   void set_deadline(std::chrono::steady_clock::time_point t) override { deadline_ = t; }
   void clear_deadline() override { deadline_.reset(); }
 
-  // Cooperative cancellation (portfolio racing): while `*flag` is true the
-  // in-flight child I/O aborts within ~10 ms and the child is terminated.
-  // The flag must outlive the backend or be cleared with nullptr.
-  void set_cancel_flag(const std::atomic<bool>* flag) { cancel_flag_ = flag; }
-
   // --- observability (supervisor decisions, fault-suite assertions) ----------
   // Last solve hit the wall clock (as opposed to crash/garbage).
   bool last_timed_out() const override { return last_timed_out_; }
@@ -129,7 +123,6 @@ private:
   std::vector<Lit> core_;
   SolverStats stats_;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
-  const std::atomic<bool>* cancel_flag_ = nullptr;
   bool last_timed_out_ = false;
   std::string last_error_;
   pid_t last_pid_ = -1;

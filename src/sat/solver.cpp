@@ -26,16 +26,7 @@ Var Solver::new_var() {
   const Var v = num_vars();
   vals_.push_back(LBool::Undef);
   vals_.push_back(LBool::Undef);
-  if (phase_seed_ == 0) {
-    phase_.push_back(0);
-  } else {
-    // splitmix64 step: one deterministic pseudo-random initial polarity per
-    // variable, fixed by the seed — independent of solve order or timing.
-    std::uint64_t z = (phase_rng_state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    phase_.push_back((z ^ (z >> 31)) & 1 ? 1 : -1);
-  }
+  phase_.push_back(0);
   var_info_.push_back(VarInfo{});
   activity_.push_back(0.0);
   seen_.push_back(0);
@@ -522,7 +513,7 @@ void Solver::reduce_db() {
   // Deleted clauses are detached (no watcher refs) and never reasons (locked
   // clauses are kept), so their storage is reclaimable. Compact once a
   // quarter of the arena is dead; without this, lit_arena_ grows
-  // monotonically — an unbounded leak over long portfolio runs.
+  // monotonically — an unbounded leak over long incremental runs.
   if (garbage_lits_ * 4 > lit_arena_.size()) garbage_collect();
 }
 
@@ -664,11 +655,7 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
   const auto past_deadline = [this] {
     return deadline_ && std::chrono::steady_clock::now() >= *deadline_;
   };
-  const auto cancelled = [this] {
-    return cancel_flag_ != nullptr && cancel_flag_->load(std::memory_order_relaxed);
-  };
   if (past_deadline()) throw SolverInterrupted{SolverInterrupted::Reason::Deadline};
-  if (cancelled()) throw SolverInterrupted{SolverInterrupted::Reason::Cancelled};
 
   // Solve entry is a restart boundary: drain foreign clauses accumulated
   // since the last call before any search starts.
@@ -679,7 +666,7 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
 
   int restart_count = 0;
   std::uint64_t conflicts_until_restart =
-      static_cast<std::uint64_t>(luby(2.0, restart_count) * restart_unit_);
+      static_cast<std::uint64_t>(luby(2.0, restart_count) * kRestartUnit);
   std::uint64_t conflicts_this_restart = 0;
   const std::uint64_t budget_start = stats_.conflicts;
 
@@ -691,10 +678,6 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
       if (conflict_budget_ && stats_.conflicts - budget_start > conflict_budget_) {
         cancel_until(0);
         throw SolverInterrupted{SolverInterrupted::Reason::Budget};
-      }
-      if (cancelled()) {
-        cancel_until(0);
-        throw SolverInterrupted{SolverInterrupted::Reason::Cancelled};
       }
       if ((stats_.conflicts & 511) == 0 && past_deadline()) {
         cancel_until(0);
@@ -775,7 +758,7 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
         ++restart_count;
         conflicts_this_restart = 0;
         conflicts_until_restart =
-            static_cast<std::uint64_t>(luby(2.0, restart_count) * restart_unit_);
+            static_cast<std::uint64_t>(luby(2.0, restart_count) * kRestartUnit);
         // A restart boundary is the canonical deadline check (mirrors the
         // supervised subprocess deadline, see set_deadline).
         if (past_deadline()) {
@@ -810,10 +793,6 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
         }
       }
       if (next == Lit::undef()) {
-        if (cancelled()) {
-          cancel_until(0);
-          throw SolverInterrupted{SolverInterrupted::Reason::Cancelled};
-        }
         ++stats_.decisions;
         next = pick_branch_lit();
         if (next == Lit::undef()) {

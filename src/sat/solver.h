@@ -26,7 +26,6 @@
 //     puts its implied literal first lazily, where reasons are read.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <chrono>
@@ -184,27 +183,6 @@ public:
   // solve() calls until cleared.
   void set_deadline(std::chrono::steady_clock::time_point t) { deadline_ = t; }
   void clear_deadline() { deadline_.reset(); }
-
-  // Cooperative cancellation for portfolio racing: while `*flag` is true,
-  // solve() aborts with SolverInterrupted{Cancelled} at the next conflict or
-  // decision (a relaxed atomic load per step — negligible against BCP). The
-  // flag must outlive the solver or be cleared with nullptr. The solver is
-  // left at decision level 0 and stays fully usable.
-  void set_cancel_flag(const std::atomic<bool>* flag) { cancel_flag_ = flag; }
-
-  // --- portfolio diversity ------------------------------------------------
-  // Restart pacing: conflicts-until-restart is luby(2, k) * unit (default
-  // 100, MiniSat's pacing). Portfolio members diversify the search by running
-  // different units against the same formula.
-  void set_restart_unit(unsigned unit) { restart_unit_ = unit == 0 ? 100 : unit; }
-  // Initial phase diversity: with a nonzero seed, variables created from now
-  // on get a pseudo-random initial polarity instead of the default positive
-  // one. Phase saving still overrides the initial value after the first
-  // backtrack, so this perturbs where the search *starts*, not how it learns.
-  void set_phase_seed(std::uint64_t seed) {
-    phase_seed_ = seed;
-    phase_rng_state_ = seed * 0x9e3779b97f4a7c15ULL + 1;
-  }
 
   // Progress heartbeat: invoke `hook` whenever the cumulative conflict count
   // is a multiple of `every_conflicts` (0 or an empty hook disarms it). The
@@ -417,6 +395,9 @@ private:
   bool heap_lt(Var a, Var b) const { return activity_[a] > activity_[b]; }
 
   static double luby(double y, int x);
+  // Restart pacing: conflicts-until-restart is luby(2, k) * kRestartUnit
+  // (MiniSat's pacing).
+  static constexpr unsigned kRestartUnit = 100;
 
   // --- state -----------------------------------------------------------------
   bool ok_ = true;
@@ -449,10 +430,6 @@ private:
   std::uint64_t max_learnts_ = 8192;
   std::uint64_t conflict_budget_ = 0;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
-  const std::atomic<bool>* cancel_flag_ = nullptr;
-  unsigned restart_unit_ = 100;
-  std::uint64_t phase_seed_ = 0;       // 0 = default positive initial phase
-  std::uint64_t phase_rng_state_ = 0;  // splitmix64 stream for initial phases
 
   // Learned-clause sharing (inert unless hooks installed).
   ExportHook export_hook_;
@@ -472,11 +449,10 @@ private:
 };
 
 // Thrown when a solve() is aborted without an answer; callers treat it as
-// "unknown". The reason distinguishes resource exhaustion (budget), the
-// wall-clock deadline (reported upward as `timed_out`), and cooperative
-// cancellation (a portfolio sibling answered first).
+// "unknown". The reason distinguishes resource exhaustion (budget) from the
+// wall-clock deadline (reported upward as `timed_out`).
 struct SolverInterrupted {
-  enum class Reason : std::uint8_t { Budget, Deadline, Cancelled };
+  enum class Reason : std::uint8_t { Budget, Deadline };
   Reason reason = Reason::Budget;
 };
 

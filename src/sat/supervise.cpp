@@ -37,20 +37,10 @@ void SupervisedBackend::clear_deadline() {
   fallback_.clear_deadline();
 }
 
-void SupervisedBackend::set_cancel_flag(const std::atomic<bool>* flag) {
-  cancel_flag_ = flag;
-  pipe_.set_cancel_flag(flag);
-  fallback_.solver().set_cancel_flag(flag);
-}
-
 SolveStatus SupervisedBackend::solve(const std::vector<Lit>& assumptions) {
   ++health_.solves;
   last_timed_out_ = false;
   answered_by_fallback_ = false;
-
-  const auto cancelled = [this] {
-    return cancel_flag_ != nullptr && cancel_flag_->load(std::memory_order_relaxed);
-  };
 
   if (!health_.quarantined) {
     unsigned attempt = 0;
@@ -60,12 +50,6 @@ SolveStatus SupervisedBackend::solve(const std::vector<Lit>& assumptions) {
         consecutive_degraded_ = 0;
         (st == SolveStatus::Sat ? health_.sat : health_.unsat) += 1;
         return st;
-      }
-      if (cancelled()) {
-        // A portfolio sibling answered; this is not the endpoint's fault.
-        ++health_.cancelled;
-        ++health_.unknown;
-        return SolveStatus::Unknown;
       }
       ++health_.external_failures;
       if (pipe_.last_timed_out()) {
@@ -91,7 +75,6 @@ SolveStatus SupervisedBackend::solve(const std::vector<Lit>& assumptions) {
     case SolveStatus::Unsat: ++health_.unsat; break;
     case SolveStatus::Unknown:
       ++health_.unknown;
-      if (cancelled()) ++health_.cancelled;
       last_timed_out_ = fallback_.last_timed_out() || pipe_.last_timed_out();
       break;
   }

@@ -59,9 +59,6 @@ public:
   bool last_timed_out() const override { return last_timed_out_; }
   BackendHealth health() const override { return health_; }
 
-  // Portfolio racing: cancels both the in-flight child I/O and the fallback.
-  void set_cancel_flag(const std::atomic<bool>* flag);
-
   PipeBackend& external() { return pipe_; }
   InprocBackend& fallback() { return fallback_; }
 
@@ -73,7 +70,6 @@ private:
   unsigned consecutive_degraded_ = 0;
   bool answered_by_fallback_ = false;
   bool last_timed_out_ = false;
-  const std::atomic<bool>* cancel_flag_ = nullptr;
   mutable SolverStats stats_agg_;
 };
 

@@ -60,8 +60,6 @@ ipc::SchedulerOptions UpecContext::scheduler_options() {
   so.threads = options.threads;
   so.conflict_budget = options.conflict_budget;
   so.share_clauses = options.share_clauses;
-  so.portfolio = options.portfolio;
-  so.portfolio_seed = options.portfolio_seed;
   so.external_argv = options.external_solver;
   so.external_deadline_ms = options.external_deadline_ms;
   so.supervise = options.supervise;

@@ -24,8 +24,6 @@ namespace upec {
 // One solver-progress heartbeat (see VerifyOptions::progress_conflicts).
 struct ProgressEvent {
   // "w<k>" for scheduler worker k (a threads == 1 run reports as "w0").
-  // Portfolio members report under their host worker's label — member-level
-  // attribution lives in the trace and the metrics registry instead.
   std::string source;
   std::uint64_t conflicts = 0;
   std::uint64_t restarts = 0;
@@ -62,14 +60,6 @@ struct VerifyOptions {
   // it and the run reports Verdict::Unknown with `timed_out` set — a
   // time-starved run is distinguishable from a conflict-budget-starved one.
   std::uint64_t deadline_ms = 0;
-  // Portfolio racing: every check runs on `portfolio` diversified solvers
-  // (restart pacing / initial-phase seeds), first definitive answer wins,
-  // losers are cancelled. Verification results are bit-identical with the
-  // portfolio on or off — answers are semantic (models are validated or
-  // harvested per candidate, UNSAT is sound from any member) — pinned by
-  // test_determinism. 1 (default) = off.
-  unsigned portfolio = 1;
-  std::uint64_t portfolio_seed = 0x5eedULL;
   // Snapshot-level CNF preprocessing for scheduler workers (sat/simplify.h):
   // the sweep snapshot is simplified once per store generation — subsumption,
   // self-subsuming resolution, bounded variable elimination, failed-literal
@@ -81,10 +71,10 @@ struct VerifyOptions {
   // other rewriting is consequence-only or model-reconstructible. Verdicts,
   // frontiers and waveforms are bit-identical with preprocessing on or off
   // (pinned by test_determinism). Inert when the scheduler holds a single
-  // solver (threads == 1 without portfolio/external): the simplified view
+  // solver (threads == 1 without an external solver): the simplified view
   // would then double a small run's memory to feed one worker.
   bool preprocess = true;
-  // External DIMACS solver command raced/consulted per worker under the
+  // External DIMACS solver command consulted first by every worker under the
   // supervision policy below (sat/supervise.h): per-solve deadline, restart
   // with backoff on crash, quarantine after consecutive failures, graceful
   // degradation to the in-proc solver. Empty (default) = in-proc only.
@@ -96,17 +86,17 @@ struct VerifyOptions {
   // When non-empty, the context arms a util::trace session at construction
   // and writes a Chrome trace-event JSON file here when the context is
   // destroyed (Perfetto / chrome://tracing loadable): spans for encoding,
-  // simplifier runs, snapshot hydration, sweeps, every backend solve,
-  // subprocess lifecycles, and portfolio races. Tracing only records —
-  // verdicts, frontiers, and waveforms are bit-identical with it on or off
-  // (pinned by test_determinism).
+  // simplifier runs, snapshot hydration, sweeps, every backend solve and
+  // subprocess lifecycles. Tracing only records — verdicts, frontiers, and
+  // waveforms are bit-identical with it on or off (pinned by
+  // test_determinism).
   std::string trace_path;
   // Progress heartbeat: every `progress_conflicts` conflicts each in-proc
-  // solver (workers, portfolio members) reports a ProgressEvent
-  // through `progress`, and — when tracing — as `solver.<source>.conflicts`
-  // counter samples in the trace. The callback fires on solving threads,
-  // concurrently at threads/portfolio > 1 (on the caller's thread at
-  // threads == 1): it must be thread-safe and stay cheap. 0 (default) = off.
+  // worker solver reports a ProgressEvent through `progress`, and — when
+  // tracing — as `solver.<source>.conflicts` counter samples in the trace.
+  // The callback fires on solving threads, concurrently at threads > 1 (on
+  // the caller's thread at threads == 1): it must be thread-safe and stay
+  // cheap. 0 (default) = off.
   std::uint64_t progress_conflicts = 0;
   std::function<void(const ProgressEvent&)> progress;
 };

@@ -38,8 +38,7 @@ void render_hits(std::ostringstream& os, const UpecContext& ctx,
 }
 
 // The run's solver statistics, read from its metrics registry: the total over
-// every scheduler worker, then one line per worker, its portfolio members and
-// its backend health.
+// every scheduler worker, then one line per worker and its backend health.
 void render_solver_usage(std::ostringstream& os, const util::MetricsSnapshot& m,
                          unsigned workers) {
   const auto row = [&](const std::string& p, bool learned) {
@@ -77,12 +76,6 @@ void render_solver_usage(std::ostringstream& os, const util::MetricsSnapshot& m,
          << m.get(wp + "imported_clauses") << " imported";
     }
     os << "\n";
-    // The worker row is the registry merge of its portfolio members' rows.
-    for (unsigned j = 0; m.has(wp + "m" + std::to_string(j) + ".solve_calls"); ++j) {
-      os << "    member " << j << ": ";
-      row(wp + "m" + std::to_string(j) + ".", true);
-      os << "\n";
-    }
     // Plain in-proc workers count no backend solves and get no health line.
     const std::string hp = "sat.health.w" + std::to_string(w) + ".";
     const auto h = [&](const char* leaf) { return m.get(hp + leaf); };
@@ -93,7 +86,6 @@ void render_solver_usage(std::ostringstream& os, const util::MetricsSnapshot& m,
     if (h("restarts") != 0) os << ", " << h("restarts") << " restarts";
     if (h("timeouts") != 0) os << ", " << h("timeouts") << " timeouts";
     if (h("degraded_solves") != 0) os << ", " << h("degraded_solves") << " degraded";
-    if (h("cancelled") != 0) os << ", " << h("cancelled") << " cancelled";
     os << (h("quarantined") != 0 ? ", QUARANTINED\n" : "\n");
   }
 }

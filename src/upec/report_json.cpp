@@ -29,10 +29,6 @@ void write_config(util::JsonWriter& w, const VerifyOptions& o) {
   w.value(o.share_clauses);
   w.key("deadline_ms");
   w.value(o.deadline_ms);
-  w.key("portfolio");
-  w.value(o.portfolio);
-  w.key("portfolio_seed");
-  w.value(o.portfolio_seed);
   w.key("preprocess");
   w.value(o.preprocess);
   w.key("external_solver");
@@ -93,7 +89,7 @@ void write_names(util::JsonWriter& w, const UpecContext& ctx,
 void write_head(util::JsonWriter& w, const UpecContext& ctx, const char* algorithm,
                 Verdict verdict, bool timed_out, double total_seconds) {
   w.key("schema");
-  w.value("upec-report-v3");
+  w.value("upec-report-v4");
   w.key("algorithm");
   w.value(algorithm);
   w.key("verdict");

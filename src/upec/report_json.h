@@ -4,7 +4,7 @@
 //
 // Schema (stable key order, see README "Observability"):
 //   {
-//     "schema": "upec-report-v3",
+//     "schema": "upec-report-v4",
 //     "algorithm": "alg1" | "alg2",
 //     "verdict": "secure" | "vulnerable" | "unknown",
 //     "timed_out": bool,

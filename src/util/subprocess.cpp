@@ -126,13 +126,10 @@ bool Subprocess::write_all(const char* data, std::size_t n, Clock::time_point de
   std::size_t off = 0;
   while (off < n) {
     struct pollfd pfd = {stdin_fd_, POLLOUT, 0};
-    int timeout = poll_timeout(deadline);
-    if (cancel_ != nullptr) timeout = std::min(timeout, 10);  // bounded cancel latency
-    const int pr = ::poll(&pfd, 1, timeout);
-    if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) return false;
+    const int pr = ::poll(&pfd, 1, poll_timeout(deadline));
     if (pr == 0) {
       if (Clock::now() >= deadline) return false;  // child stopped draining its stdin
-      continue;  // cancel-slice expired, deadline not reached
+      continue;  // poll slice (capped at 60 s) expired, deadline not reached
     }
     if (pr < 0) {
       if (errno == EINTR) continue;
@@ -159,13 +156,10 @@ bool Subprocess::read_all(std::string& out, Clock::time_point deadline, std::siz
   char buf[4096];
   for (;;) {
     struct pollfd pfd = {stdout_fd_, POLLIN, 0};
-    int timeout = poll_timeout(deadline);
-    if (cancel_ != nullptr) timeout = std::min(timeout, 10);  // bounded cancel latency
-    const int pr = ::poll(&pfd, 1, timeout);
-    if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) return false;
+    const int pr = ::poll(&pfd, 1, poll_timeout(deadline));
     if (pr == 0) {
       if (Clock::now() >= deadline) return false;  // deadline, stream still open: hang
-      continue;  // cancel-slice expired, deadline not reached
+      continue;  // poll slice (capped at 60 s) expired, deadline not reached
     }
     if (pr < 0) {
       if (errno == EINTR) continue;

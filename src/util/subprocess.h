@@ -19,7 +19,6 @@
 
 #include <sys/types.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <string>
@@ -45,13 +44,6 @@ public:
 
   Subprocess(const Subprocess&) = delete;
   Subprocess& operator=(const Subprocess&) = delete;
-
-  // Cooperative cancellation for racing (portfolio members): while `*flag`
-  // is true, write_all/read_all return false at their next poll tick (the
-  // poll is sliced to <= 10 ms when a flag is installed, so cancellation
-  // latency is bounded regardless of the deadline). The flag must outlive
-  // the Subprocess or be cleared with nullptr.
-  void set_cancel_flag(const std::atomic<bool>* flag) { cancel_ = flag; }
 
   // Forks and execs argv (argv[0] is the binary; PATH is searched). Returns
   // false without forking if argv is empty or a pipe/fork failed; exec
@@ -97,7 +89,6 @@ private:
   pid_t pid_ = -1;
   int stdin_fd_ = -1;
   int stdout_fd_ = -1;
-  const std::atomic<bool>* cancel_ = nullptr;
 };
 
 } // namespace upec::util

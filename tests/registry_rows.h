@@ -1,6 +1,5 @@
 // Row counts in a run's metrics registry (util/metrics.h): the scheduler
-// workers it reports (`sat.solver.w<k>.*`) and the portfolio members of one
-// worker (`sat.solver.w<k>.m<j>.*`).
+// workers it reports (`sat.solver.w<k>.*`).
 #pragma once
 
 #include <cstddef>
@@ -13,13 +12,6 @@ namespace upec {
 inline std::size_t worker_rows(const util::MetricsSnapshot& m) {
   std::size_t n = 0;
   while (m.has("sat.solver.w" + std::to_string(n) + ".solve_calls")) ++n;
-  return n;
-}
-
-inline std::size_t member_rows(const util::MetricsSnapshot& m, unsigned worker) {
-  const std::string wp = "sat.solver.w" + std::to_string(worker) + ".m";
-  std::size_t n = 0;
-  while (m.has(wp + std::to_string(n) + ".solve_calls")) ++n;
   return n;
 }
 

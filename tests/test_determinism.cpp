@@ -193,43 +193,6 @@ TEST(Determinism, VulnerableIncrementalToggleIdentical) {
   }
 }
 
-VerifyOptions with_portfolio(VerifyOptions options, unsigned threads, unsigned members) {
-  options.threads = threads;
-  options.portfolio = members;
-  return options;
-}
-
-TEST(Determinism, SecurePortfolioToggleIdenticalAcrossThreadCounts) {
-  // Portfolio racing changes which member answers first, never which answer
-  // comes back: SAT models are validated/harvested against the snapshot and
-  // UNSAT is sound from any member. The frontiers must be bit-identical with
-  // the portfolio on or off, at any thread count.
-  const soc::Soc soc = small_soc();
-  const Alg1Result seq = verify_2cycle(soc, with_threads(countermeasure_options(), 1));
-  ASSERT_EQ(seq.verdict, Verdict::Secure);
-  for (unsigned threads : {1u, 3u}) {
-    const Alg1Result par =
-        verify_2cycle(soc, with_portfolio(countermeasure_options(), threads, 2));
-    SCOPED_TRACE("threads=" + std::to_string(threads) + " portfolio=2");
-    expect_same_alg1(seq, par);
-  }
-}
-
-TEST(Determinism, VulnerablePortfolioToggleIdentical) {
-  // Same toggle on the vulnerable baseline: racing must not change which
-  // counterexample frontier the saturation converges on.
-  const soc::Soc soc = small_soc();
-  Alg1Options opts;
-  opts.extract_waveform = false;
-  const Alg1Result seq = verify_2cycle(soc, with_threads({}, 1), opts);
-  ASSERT_EQ(seq.verdict, Verdict::Vulnerable);
-  for (unsigned threads : {1u, 4u}) {
-    const Alg1Result par = verify_2cycle(soc, with_portfolio({}, threads, 2), opts);
-    SCOPED_TRACE("threads=" + std::to_string(threads) + " portfolio=2");
-    expect_same_alg1(seq, par);
-  }
-}
-
 VerifyOptions with_preprocess(VerifyOptions options, unsigned threads, bool preprocess) {
   options.threads = threads;
   options.preprocess = preprocess;

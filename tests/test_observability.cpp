@@ -1,6 +1,6 @@
 // Observability stack: the JSON writer/parser pair, the unified metrics
 // registry and its aggregation identities, the Chrome trace-event stream,
-// the upec-report-v3 JSON report, and the solver progress hooks.
+// the upec-report-v4 JSON report, and the solver progress hooks.
 //
 // The parse-back tests use the strict util::parse_json reader deliberately:
 // every artifact the engine emits must survive a reader that rejects
@@ -9,7 +9,6 @@
 // per-thread spans).
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -171,15 +170,14 @@ TEST(MetricsRegistry, JsonSerializationIsSortedAndRoundTrips) {
 
 // ---------------------------------------------------------------------------
 // MetricsAggregation: the counter-drift regression. Every aggregate the run
-// reports must be the registry merge of its parts — main + workers, worker =
-// its portfolio members — with nothing counted twice or dropped.
+// reports must be the registry merge of its parts — the total is the sum of
+// the workers — with nothing counted twice or dropped.
 // ---------------------------------------------------------------------------
 
-TEST(MetricsAggregation, TotalsEqualSumOfPartsUnderPortfolio) {
+TEST(MetricsAggregation, TotalsEqualSumOfWorkers) {
   const soc::Soc soc = small_soc();
   VerifyOptions options = countermeasure_options();
   options.threads = 2;
-  options.portfolio = 2;
   UpecContext ctx(soc, options);
   Alg1Options opts;
   opts.extract_waveform = false;
@@ -198,13 +196,6 @@ TEST(MetricsAggregation, TotalsEqualSumOfPartsUnderPortfolio) {
     for (unsigned w = 0; w < 2; ++w) {
       const std::string wp = "sat.solver.w" + std::to_string(w) + ".";
       worker_sum += m.get(wp + leaf);
-      // worker = sum of its portfolio members.
-      ASSERT_EQ(member_rows(m, w), 2u) << "worker " << w;
-      std::uint64_t member_sum = 0;
-      for (unsigned j = 0; j < 2; ++j) {
-        member_sum += m.get(wp + "m" + std::to_string(j) + "." + leaf);
-      }
-      EXPECT_EQ(m.get(wp + leaf), member_sum) << wp << leaf;
     }
     EXPECT_EQ(m.get(std::string("sat.solver.total.") + leaf), worker_sum) << leaf;
   }
@@ -325,57 +316,6 @@ TEST(UsageBlock, TwoWorkerPreprocessedSecureIsPinned) {
             "7876 learned\n"
             "  worker 1: 68 solves, 7641 conflicts, 1725705 decisions, 3452198 propagations, "
             "7610 learned\n");
-}
-
-TEST(UsageBlock, PortfolioMembersSumToTheirWorkerLine) {
-  // A portfolio race is not deterministic, so only the block's shape is
-  // pinned: each worker line is followed by one line per member, and the
-  // members' counts sum to the worker's.
-  soc::SocConfig cfg;
-  cfg.pub_ram_words = 8;
-  cfg.priv_ram_words = 4;
-  const soc::Soc soc = soc::build_pulpissimo(cfg);
-  VerifyOptions options = countermeasure_options();
-  options.threads = 2;
-  options.portfolio = 2;
-  UpecContext ctx(soc, options);
-  Alg1Options opts;
-  opts.extract_waveform = false;
-  const Alg1Result r = run_alg1(ctx, opts);
-  ASSERT_EQ(r.verdict, Verdict::Secure);
-
-  // solves, conflicts, decisions, propagations, learned.
-  using Counts = std::array<std::uint64_t, 5>;
-  const auto counts = [](const std::string& line) {
-    Counts c{};
-    std::istringstream in(line.substr(line.find(": ") + 2));
-    std::string word;
-    for (std::uint64_t& n : c) in >> n >> word;  // "<n> <name>,"
-    return c;
-  };
-  std::vector<Counts> workers;
-  std::vector<Counts> member_sums;
-  std::vector<unsigned> members;
-  std::istringstream in(solver_usage_block(render_report(ctx, r)));
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.starts_with("  worker ")) {
-      workers.push_back(counts(line));
-      member_sums.push_back(Counts{});
-      members.push_back(0);
-    } else if (line.starts_with("    member ")) {
-      ASSERT_FALSE(workers.empty()) << line;
-      const Counts c = counts(line);
-      for (std::size_t i = 0; i < c.size(); ++i) member_sums.back()[i] += c[i];
-      ++members.back();
-    }
-  }
-  ASSERT_EQ(workers.size(), 2u);
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    EXPECT_EQ(members[w], 2u) << "worker " << w;
-    EXPECT_EQ(member_sums[w], workers[w]) << "worker " << w;
-    EXPECT_GT(workers[w][0], 0u) << "worker " << w;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -511,7 +451,7 @@ TEST(JsonReport, Alg1ReportParsesBackAndMatchesResult) {
   util::JsonValue v;
   std::string error;
   ASSERT_TRUE(util::parse_json(doc, v, &error)) << error;
-  EXPECT_EQ(v.find("schema")->string, "upec-report-v3");
+  EXPECT_EQ(v.find("schema")->string, "upec-report-v4");
   EXPECT_EQ(v.find("algorithm")->string, "alg1");
   EXPECT_EQ(v.find("verdict")->string, verdict_name(r.verdict));
   EXPECT_EQ(v.find("timed_out")->boolean, r.timed_out);
@@ -563,7 +503,7 @@ TEST(JsonReport, Alg2ReportParsesBack) {
   util::JsonValue v;
   std::string error;
   ASSERT_TRUE(util::parse_json(render_json(ctx, r), v, &error)) << error;
-  EXPECT_EQ(v.find("schema")->string, "upec-report-v3");
+  EXPECT_EQ(v.find("schema")->string, "upec-report-v4");
   EXPECT_EQ(v.find("algorithm")->string, "alg2");
   EXPECT_EQ(v.find("verdict")->string, verdict_name(r.verdict));
   EXPECT_EQ(v.find("final_k")->number, static_cast<double>(r.final_k));
