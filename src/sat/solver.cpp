@@ -33,7 +33,8 @@ Var Solver::new_var() {
   watches_.emplace_back();
   watches_.emplace_back();
   heap_pos_.push_back(-1);
-  heap_insert(v);
+  queue_.emplace_back();
+  queue_append(v);  // the newest variable is the next focused decision
   return v;
 }
 
@@ -223,7 +224,7 @@ void Solver::var_bump_activity(Var v) {
     for (auto& a : activity_) a *= 1e-100;
     var_inc_ *= 1e-100;
   }
-  if (heap_pos_[static_cast<std::size_t>(v)] >= 0) heap_update(v);
+  if (stable_ && heap_pos_[static_cast<std::size_t>(v)] >= 0) heap_update(v);
 }
 
 void Solver::cla_bump_activity(ClauseRef c) {
@@ -284,6 +285,7 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
       if (!seen_[static_cast<std::size_t>(v)] && var_info_[static_cast<std::size_t>(v)].level > 0) {
         seen_[static_cast<std::size_t>(v)] = 1;
         var_bump_activity(v);
+        bumped_.push_back(v);
         if (var_info_[static_cast<std::size_t>(v)].level >= decision_level()) {
           ++path_count;
         } else {
@@ -305,6 +307,13 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
     --path_count;
   } while (path_count > 0);
   out_learnt[0] = ~p;
+
+  // Move this conflict's variables to the queue's newest end, oldest first.
+  std::sort(bumped_.begin(), bumped_.end(), [this](Var a, Var b) {
+    return queue_[static_cast<std::size_t>(a)].stamp < queue_[static_cast<std::size_t>(b)].stamp;
+  });
+  for (const Var v : bumped_) queue_move_to_front(v);
+  bumped_.clear();
 
   // Conflict-clause minimization (recursive, abstraction-guided).
   analyze_toclear_ = out_learnt;
@@ -453,6 +462,8 @@ void Solver::cancel_until(int target) {
   if (decision_level() <= target) return;
   const auto start = static_cast<std::size_t>(trail_lim_[static_cast<std::size_t>(target)]);
   kept_.clear();
+  Var search = queue_search_;
+  std::uint32_t search_stamp = queue_[static_cast<std::size_t>(search)].stamp;
   for (std::size_t c = trail_.size(); c-- > start;) {
     const Var v = trail_[c].var();
     if (level(v) <= target) {
@@ -464,8 +475,13 @@ void Solver::cancel_until(int target) {
     vals_[2 * static_cast<std::size_t>(v)] = LBool::Undef;
     vals_[2 * static_cast<std::size_t>(v) + 1] = LBool::Undef;
     phase_[static_cast<std::size_t>(v)] = trail_[c].sign() ? -1 : 1;
-    if (heap_pos_[static_cast<std::size_t>(v)] < 0) heap_insert(v);
+    if (queue_[static_cast<std::size_t>(v)].stamp > search_stamp) {
+      search = v;
+      search_stamp = queue_[static_cast<std::size_t>(v)].stamp;
+    }
+    if (stable_ && heap_pos_[static_cast<std::size_t>(v)] < 0) heap_insert(v);
   }
+  queue_search_ = search;
   qhead_ = std::min(qhead_, start);
   trail_.resize(start);
   trail_.insert(trail_.end(), kept_.rbegin(), kept_.rend());
@@ -474,9 +490,18 @@ void Solver::cancel_until(int target) {
 
 Lit Solver::pick_branch_lit() {
   Var next = kUndefVar;
-  while (next == kUndefVar || value(next) != LBool::Undef) {
-    if (heap_empty()) return Lit::undef();
-    next = heap_pop();
+  if (stable_) {
+    while (next == kUndefVar || value(next) != LBool::Undef) {
+      if (heap_empty()) return Lit::undef();
+      next = heap_pop();
+    }
+  } else {
+    next = queue_search_;
+    while (next != kUndefVar && value(next) != LBool::Undef) {
+      next = queue_[static_cast<std::size_t>(next)].prev;
+    }
+    if (next == kUndefVar) return Lit::undef();
+    queue_search_ = next;
   }
   const signed char ph = phase_[static_cast<std::size_t>(next)];
   return Lit(next, ph < 0);
@@ -645,6 +670,7 @@ double Solver::luby(double y, int x) {
 
 bool Solver::solve(const std::vector<Lit>& assumptions) {
   ++stats_.solve_calls;
+  stable_ = false;
   assumptions_ = assumptions;
   conflict_.clear();
   model_.clear();
@@ -668,14 +694,14 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
   std::uint64_t conflicts_until_restart =
       static_cast<std::uint64_t>(luby(2.0, restart_count) * kRestartUnit);
   std::uint64_t conflicts_this_restart = 0;
-  const std::uint64_t budget_start = stats_.conflicts;
+  const std::uint64_t entry_conflicts = stats_.conflicts;
 
   for (;;) {
     const ClauseRef confl = propagate();
     if (confl != kNoClause) {
       ++stats_.conflicts;
       ++conflicts_this_restart;
-      if (conflict_budget_ && stats_.conflicts - budget_start > conflict_budget_) {
+      if (conflict_budget_ && stats_.conflicts - entry_conflicts > conflict_budget_) {
         cancel_until(0);
         throw SolverInterrupted{SolverInterrupted::Reason::Budget};
       }
@@ -695,6 +721,9 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
                   .count();
         }
         progress_hook_(p);
+      }
+      if (!stable_ && stats_.conflicts - entry_conflicts >= kStableAfterConflicts) {
+        switch_to_stable();
       }
       // The conflict may sit below the current level: out-of-order
       // implications carry their reason's level, not the decision level.
@@ -838,6 +867,51 @@ std::size_t Solver::validate_model() const {
     ++violated;
   });
   return violated;
+}
+
+// --- decision queue (focused mode) -------------------------------------------
+
+void Solver::queue_append(Var v) {
+  if (queue_stamp_ == std::numeric_limits<std::uint32_t>::max()) renumber_queue();
+  QueueLink& link = queue_[static_cast<std::size_t>(v)];
+  link.prev = queue_last_;
+  link.next = kUndefVar;
+  link.stamp = ++queue_stamp_;
+  if (queue_last_ != kUndefVar) {
+    queue_[static_cast<std::size_t>(queue_last_)].next = v;
+  } else {
+    queue_first_ = v;
+  }
+  queue_last_ = v;
+  if (value(v) == LBool::Undef) queue_search_ = v;
+}
+
+void Solver::queue_move_to_front(Var v) {
+  if (v == queue_last_) return;
+  const QueueLink& link = queue_[static_cast<std::size_t>(v)];
+  if (link.prev != kUndefVar) {
+    queue_[static_cast<std::size_t>(link.prev)].next = link.next;
+  } else {
+    queue_first_ = link.next;
+  }
+  queue_[static_cast<std::size_t>(link.next)].prev = link.prev;
+  queue_append(v);
+}
+
+void Solver::renumber_queue() {
+  queue_stamp_ = 0;
+  for (Var v = queue_first_; v != kUndefVar; v = queue_[static_cast<std::size_t>(v)].next) {
+    queue_[static_cast<std::size_t>(v)].stamp = ++queue_stamp_;
+  }
+}
+
+void Solver::switch_to_stable() {
+  stable_ = true;
+  for (const int v : heap_) heap_pos_[static_cast<std::size_t>(v)] = -1;
+  heap_.clear();
+  for (Var v = 0; v < num_vars(); ++v) {
+    if (value(v) == LBool::Undef) heap_insert(v);
+  }
 }
 
 // --- binary max-heap on VSIDS activity ---------------------------------------

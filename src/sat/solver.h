@@ -5,7 +5,14 @@
 // the classic MiniSat architecture (Eén & Sörensson):
 //   - two-watched-literal propagation,
 //   - first-UIP conflict analysis with clause minimization,
-//   - VSIDS decision heuristic with phase saving,
+//   - focused-then-stable decisions with phase saving: every solve() starts
+//     in focused mode, which decides the newest variable of a VMTF queue
+//     (variable move-to-front; Biere & Fröhlich, SAT 2015), and a call that
+//     reaches kStableAfterConflicts conflicts finishes on the VSIDS heap,
+//     like CaDiCaL's and Kissat's focused and stable modes (Oh, SAT 2015).
+//     Most incremental queries here end within a few dozen conflicts, where
+//     the queue decides with no heap work; the rare hard query finishes on
+//     VSIDS (see kStableAfterConflicts),
 //   - Luby-sequence restarts,
 //   - chronological backtracking for long backjumps (Nadel & Ryvchin,
 //     SAT 2018; Möhle & Biere, SAT 2019), which keeps the trail out of
@@ -128,12 +135,12 @@ public:
 
   // Deletes every problem (non-learnt) clause and keeps everything else:
   // learnt and imported clauses, root-level facts, variables with their
-  // activity and saved phases, stats and configuration. Root facts whose
-  // reason was a problem clause become reasonless facts. Used when a backend
-  // switches to a new simplified generation of its formula (see
-  // SolverBackend::sync): the caller then adds the whole generation on top,
-  // and the kept state stays sound because every kept clause and fact is
-  // implied by the formula the new generation simplifies.
+  // activity, queue position and saved phases, stats and configuration.
+  // Root facts whose reason was a problem clause become reasonless facts.
+  // Used when a backend switches to a new simplified generation of its
+  // formula (see SolverBackend::sync): the caller then adds the whole
+  // generation on top, and the kept state stays sound because every kept
+  // clause and fact is implied by the formula the new generation simplifies.
   void drop_problem_clauses();
 
   // --- Solving ---------------------------------------------------------------
@@ -231,6 +238,14 @@ public:
   // benchmark workload every threshold from 0 to 300 cuts propagations ~3x.
   static constexpr int kChronoThreshold = 100;
 
+  // Conflicts after which one solve() call leaves focused mode (VMTF queue)
+  // for stable mode (VSIDS heap) until it returns; the next call starts
+  // focused again. On the Alg. 1 benchmark workload one query in 126
+  // reaches it (the median takes 17 conflicts). Without the switch one
+  // Alg. 2 query took 67,180 conflicts, where none takes more than 3,161
+  // under VSIDS.
+  static constexpr std::uint64_t kStableAfterConflicts = 1000;
+
   // --- observability for tests -------------------------------------------------
   // Learnt-DB reduction threshold (default 8192, grows 10% per reduction).
   void set_max_learnts(std::uint64_t n) { max_learnts_ = n; }
@@ -255,6 +270,10 @@ public:
   // is dead; a call at any other time leaves the search as it was, since
   // records, their literals, watch lists and learnts_ all keep their order.
   void garbage_collect();
+  // Renumbers the decision queue's bump stamps 1..n in queue order, keeping
+  // the order itself. Runs by itself before a stamp would wrap; public so
+  // tests can check that it leaves the search as it was.
+  void renumber_queue();
 
   // The arena bound behind alloc_clause, which throws std::length_error in
   // every build when it fails: a new clause of `num_lits` literals fits after
@@ -377,6 +396,8 @@ private:
   // that sit later on the trail than the level's start stay assigned and
   // are re-queued for propagation.
   void cancel_until(int target);
+  // Focused mode picks the newest unassigned variable of the queue, stable
+  // mode the most active one of the heap.
   Lit pick_branch_lit();
   void reduce_db();
   void var_bump_activity(Var v);
@@ -385,7 +406,15 @@ private:
 
   int decision_level() const { return static_cast<int>(trail_lim_.size()); }
 
-  // order heap (binary max-heap on activity)
+  // decision queue (focused mode; see "decision order" below)
+  // Links v as the newest entry, with a fresh stamp.
+  void queue_append(Var v);
+  // Unlinks v and appends it again.
+  void queue_move_to_front(Var v);
+  // Leaves focused mode: fills the heap with the unassigned variables.
+  void switch_to_stable();
+
+  // order heap (binary max-heap on activity; stable mode only)
   void heap_insert(Var v);
   void heap_update(Var v);
   Var heap_pop();
@@ -418,6 +447,31 @@ private:
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;
   std::size_t qhead_ = 0;
+
+  // --- decision order ------------------------------------------------------------
+  // Focused mode: every variable sits in one doubly linked queue, ordered by
+  // a 32-bit bump stamp, oldest first. New variables and the variables each
+  // conflict analysis bumps are moved to the back (the newest end); analyze
+  // moves its batch in old-stamp order, so the batch keeps its relative
+  // order. Every variable newer than queue_search_ is assigned, so
+  // pick_branch_lit walks back from it and cancel_until moves it to any
+  // newer variable it frees.
+  // Stable mode: heap_ holds every unassigned variable by activity.
+  // Activities are bumped and decayed in both modes, the queue is kept in
+  // both modes, and the heap is touched only in stable mode and rebuilt on
+  // each switch.
+  struct QueueLink {
+    Var prev = kUndefVar;
+    Var next = kUndefVar;
+    std::uint32_t stamp = 0;
+  };
+  std::vector<QueueLink> queue_;  // indexed by variable
+  Var queue_first_ = kUndefVar;   // oldest
+  Var queue_last_ = kUndefVar;    // newest
+  Var queue_search_ = kUndefVar;
+  std::uint32_t queue_stamp_ = 0; // the newest stamp handed out
+  std::vector<Var> bumped_;       // analyze scratch: this conflict's bumps
+  bool stable_ = false;
 
   std::vector<int> heap_;     // heap of vars
   std::vector<int> heap_pos_; // var -> index in heap_ or -1

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "sat/backend.h"
 #include "sat/pipe_backend.h"
@@ -56,6 +57,11 @@ public:
 
   void set_deadline(std::chrono::steady_clock::time_point t) override;
   void clear_deadline() override;
+  // The heartbeat comes from the in-proc fallback, the only solver here
+  // with a conflict loop; the external child has none.
+  void set_progress(ProgressHook hook, std::uint64_t every_conflicts) override {
+    fallback_.set_progress(std::move(hook), every_conflicts);
+  }
   bool last_timed_out() const override { return last_timed_out_; }
   BackendHealth health() const override { return health_; }
 

@@ -15,6 +15,7 @@
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -516,6 +517,34 @@ TEST(FaultEndToEnd, HostileExternalSolverCannotChangeTheFrontiersAtTwoWorkers) {
       EXPECT_EQ(m.get(hp + "quarantined"), 1u) << w;
     }
   }
+}
+
+TEST(FaultEndToEnd, ProgressHeartbeatOutlivesAQuarantinedEndpoint) {
+  // Both workers' endpoints are benched after their first garbage answer,
+  // so the in-proc fallbacks do all the solving: their heartbeat must still
+  // reach VerifyOptions::progress.
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 8;
+  cfg.priv_ram_words = 4;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  Alg1Options alg;
+  alg.extract_waveform = false;
+
+  VerifyOptions options;
+  options.threads = 2;
+  options.external_solver = sat::self_solver_argv("garbage");
+  options.supervise.max_restarts = 0;
+  options.supervise.quarantine_after = 1;
+  options.progress_conflicts = 50;
+  std::atomic<std::uint64_t> events{0};
+  options.progress = [&](const ProgressEvent&) { events.fetch_add(1); };
+  const Alg1Result r = verify_2cycle(soc, options, alg);
+
+  EXPECT_EQ(r.verdict, Verdict::Vulnerable);
+  for (const char* w : {"w0", "w1"}) {
+    EXPECT_EQ(r.metrics.get(std::string("sat.health.") + w + ".quarantined"), 1u) << w;
+  }
+  EXPECT_GT(events.load(), 0u);
 }
 
 } // namespace

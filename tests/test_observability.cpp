@@ -284,10 +284,10 @@ TEST(UsageBlock, SingleWorkerDetectionIsPinned) {
   const Alg1Result r = run_alg1(ctx);
   ASSERT_EQ(r.verdict, Verdict::Vulnerable);
   EXPECT_EQ(solver_usage_block(render_report(ctx, r)),
-            "solver usage (1 worker): 126 solves, 11750 conflicts, 410073 decisions, "
-            "7218216 propagations\n"
-            "  worker 0: 126 solves, 11750 conflicts, 410073 decisions, 7218216 propagations, "
-            "11733 learned\n");
+            "solver usage (1 worker): 126 solves, 12573 conflicts, 291370 decisions, "
+            "6145479 propagations\n"
+            "  worker 0: 126 solves, 12573 conflicts, 291370 decisions, 6145479 propagations, "
+            "12532 learned\n");
 }
 
 TEST(UsageBlock, TwoWorkerPreprocessedSecureIsPinned) {
@@ -307,15 +307,15 @@ TEST(UsageBlock, TwoWorkerPreprocessedSecureIsPinned) {
   const Alg1Result r = run_alg1(ctx, opts);
   ASSERT_EQ(r.verdict, Verdict::Secure);
   EXPECT_EQ(solver_usage_block(render_report(ctx, r)),
-            "solver usage (2 workers): 138 solves, 15544 conflicts, 4661798 decisions, "
-            "8192436 propagations\n"
-            "frontier pruning: 237 candidates pruned by cores, 15486 learnts retained\n"
+            "solver usage (2 workers): 138 solves, 15420 conflicts, 1516083 decisions, "
+            "3527623 propagations\n"
+            "frontier pruning: 237 candidates pruned by cores, 15311 learnts retained\n"
             "preprocessing: 1 runs / 1 reuses, 12768 vars eliminated, 1398 subsumed, "
             "9601 strengthened, 0 failed literals, 3 fixed; last run 67997 -> 40953 clauses\n"
-            "  worker 0: 70 solves, 7903 conflicts, 2936093 decisions, 4740238 propagations, "
-            "7876 learned\n"
-            "  worker 1: 68 solves, 7641 conflicts, 1725705 decisions, 3452198 propagations, "
-            "7610 learned\n");
+            "  worker 0: 70 solves, 7792 conflicts, 973100 decisions, 2110321 propagations, "
+            "7782 learned\n"
+            "  worker 1: 68 solves, 7628 conflicts, 542983 decisions, 1417302 propagations, "
+            "7529 learned\n");
 }
 
 // ---------------------------------------------------------------------------

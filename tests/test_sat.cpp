@@ -362,15 +362,22 @@ TEST_P(SatRandom, PaddedCoreMatchesBruteForce) {
   EXPECT_EQ(s.validate_model(), 0u);
 }
 
-// Pigeonhole P into P-1, optionally guarded: every clause gets ¬guard so the
-// contradiction only fires under the assumption `guard` and the solver stays
-// usable (ok) after the UNSAT answer.
-void add_pigeonhole(Solver& s, int pigeons, std::optional<Lit> guard = std::nullopt) {
-  const int holes = pigeons - 1;
+// The variables of a pigeonhole P into P-1: x[p][h] puts pigeon p in hole h.
+std::vector<std::vector<Var>> pigeonhole_vars(Solver& s, int pigeons) {
   std::vector<std::vector<Var>> x(static_cast<std::size_t>(pigeons));
   for (auto& row : x) {
-    for (int h = 0; h < holes; ++h) row.push_back(s.new_var());
+    for (int h = 0; h + 1 < pigeons; ++h) row.push_back(s.new_var());
   }
+  return x;
+}
+
+// Pigeonhole P into P-1 over `x`, optionally guarded: every clause gets
+// ¬guard so the contradiction only fires under the assumption `guard` and
+// the solver stays usable (ok) after the UNSAT answer.
+void add_pigeonhole_clauses(Solver& s, const std::vector<std::vector<Var>>& x,
+                            std::optional<Lit> guard = std::nullopt) {
+  const int pigeons = static_cast<int>(x.size());
+  const int holes = pigeons - 1;
   for (int p = 0; p < pigeons; ++p) {
     std::vector<Lit> c;
     if (guard) c.push_back(~*guard);
@@ -388,6 +395,10 @@ void add_pigeonhole(Solver& s, int pigeons, std::optional<Lit> guard = std::null
       }
     }
   }
+}
+
+void add_pigeonhole(Solver& s, int pigeons, std::optional<Lit> guard = std::nullopt) {
+  add_pigeonhole_clauses(s, pigeonhole_vars(s, pigeons), guard);
 }
 
 // A guarded pigeonhole behind a deep assumption stack: {g} followed by
@@ -471,15 +482,17 @@ TEST(Sat, ChronologicalBacktrackingNeedsALongJump) {
 
 TEST(Sat, ChronologicalBacktrackingFindsValidModels) {
   // Satisfiable twin: the guard is a free variable instead of an
-  // assumption, created first so it is the first decision after the
-  // padding. Refuting the pigeonhole under it learns the unit ¬g, which
-  // lands at the root from more than kChronoThreshold levels up — a root
-  // fact in the middle of the trail.
+  // assumption, created last so it is the first decision after the padding
+  // (focused mode decides the newest variable first). Refuting the
+  // pigeonhole under it learns the unit ¬g, which lands at the root from
+  // more than kChronoThreshold levels up — a root fact in the middle of the
+  // trail.
   Solver s;
-  const Var g = s.new_var();
   std::vector<Lit> assumptions;
   for (int i = 0; i < Solver::kChronoThreshold + 50; ++i) assumptions.push_back(pos(s.new_var()));
-  add_pigeonhole(s, 6, pos(g));
+  const std::vector<std::vector<Var>> x = pigeonhole_vars(s, 6);
+  const Var g = s.new_var();
+  add_pigeonhole_clauses(s, x, pos(g));
   ASSERT_TRUE(s.solve(assumptions));
   EXPECT_EQ(s.validate_model(), 0u);
   EXPECT_FALSE(s.model_value(g));
@@ -815,18 +828,129 @@ SearchCounters counters_of(const SolverStats& st) {
           st.learned_clauses, st.deleted_clauses, st.chrono_backtracks};
 }
 
+// Focused mode decides the newest variable of the queue first, and conflict
+// analysis moves the variables it bumps to the newest end. Each free y_i
+// follows from a either way, (¬a ∨ y_i) ∧ (a ∨ y_i), so deciding a first
+// costs one decision where deciding the y_i first costs one each; the
+// clauses (¬g ∨ ¬a ∨ c) ∧ (¬g ∨ ¬a ∨ ¬c) refute a under g.
+TEST(Sat, FocusedModeDecidesTheLatestBumpFirst) {
+  constexpr std::uint64_t kFree = 8;
+  Solver s;
+  const Var g = s.new_var();
+  const Var c = s.new_var();
+  const Var a = s.new_var();
+  std::vector<Var> y;
+  for (std::uint64_t i = 0; i < kFree; ++i) y.push_back(s.new_var());
+  for (const Var v : y) {
+    ASSERT_TRUE(s.add_clause(neg(a), pos(v)));
+    ASSERT_TRUE(s.add_clause(pos(a), pos(v)));
+  }
+  ASSERT_TRUE(s.add_clause({neg(g), neg(a), pos(c)}));
+  ASSERT_TRUE(s.add_clause({neg(g), neg(a), neg(c)}));
+
+  // Under g the newest variables go first: y_8 .. y_1, then a, which
+  // conflicts and bumps g, c and a, in that order. Then c, and the final
+  // pick that finds every variable assigned.
+  ASSERT_TRUE(s.solve({pos(g)}));
+  EXPECT_EQ(s.validate_model(), 0u);
+  EXPECT_EQ(s.stats().conflicts, 1u);
+  EXPECT_EQ(s.stats().decisions, kFree + 3);
+
+  // a is now the most recently bumped variable: it goes first (on its saved
+  // phase, false) and implies every y_i; then c, g and the final pick.
+  const std::uint64_t before = s.stats().decisions;
+  ASSERT_TRUE(s.solve());
+  EXPECT_EQ(s.validate_model(), 0u);
+  EXPECT_EQ(s.stats().decisions - before, 4u);
+  EXPECT_FALSE(s.model_value(a));
+  for (const Var v : y) EXPECT_TRUE(s.model_value(v));
+}
+
+// A call that passes kStableAfterConflicts finishes on the VSIDS heap, and
+// the next call starts focused again.
+TEST(Sat, StableModeLastsOneCall) {
+  Solver s;
+  const Var g = s.new_var();
+  const std::vector<std::vector<Var>> x = pigeonhole_vars(s, 8);
+  add_pigeonhole_clauses(s, x, pos(g));
+  EXPECT_FALSE(s.solve({pos(g)}));
+  EXPECT_GT(s.stats().conflicts, Solver::kStableAfterConflicts);
+  EXPECT_TRUE(s.conflict_assumptions() == std::vector<Lit>{pos(g)});
+
+  // A fresh variable b that either value of x[0][0] refutes. Focused mode
+  // decides b, the newest variable, first: one conflict, which learns ¬b.
+  // The heap would decide the bumped x[0][0] before b, and imply ¬b with
+  // no conflict.
+  const Var b = s.new_var();
+  ASSERT_TRUE(s.add_clause(pos(x[0][0]), neg(b)));
+  ASSERT_TRUE(s.add_clause(neg(x[0][0]), neg(b)));
+  const std::uint64_t conflicts = s.stats().conflicts;
+  ASSERT_TRUE(s.solve());
+  EXPECT_EQ(s.validate_model(), 0u);
+  EXPECT_FALSE(s.model_value(b));
+  EXPECT_EQ(s.stats().conflicts - conflicts, 1u);
+
+  // A second long call switches again, from the heap the first one left.
+  const Var h = s.new_var();
+  add_pigeonhole(s, 8, pos(h));
+  const std::uint64_t before = s.stats().conflicts;
+  EXPECT_FALSE(s.solve({pos(h)}));
+  EXPECT_GT(s.stats().conflicts - before, Solver::kStableAfterConflicts);
+  ASSERT_TRUE(s.solve());
+  EXPECT_EQ(s.validate_model(), 0u);
+}
+
+// renumber_queue() runs by itself only before a 32-bit stamp would wrap.
+// Renumbering before every call must leave the search exactly as it was:
+// the twins below agree on every answer, model and counter.
+TEST(Sat, RenumberingStampsKeepsTheQueueOrder) {
+  Xoshiro256 rng(2024);
+  constexpr int kVars = 120;
+  Solver plain, renumbered;
+  for (Solver* s : {&plain, &renumbered}) {
+    s->set_max_learnts(50);
+    for (int i = 0; i < kVars; ++i) s->new_var();
+  }
+  for (const auto& cl : random_clauses(rng, kVars, 3, 3, kVars * 40 / 10)) {
+    std::vector<Lit> lits;
+    for (int lit : cl) lits.push_back(Lit(std::abs(lit) - 1, lit < 0));
+    ASSERT_TRUE(plain.add_clause(lits));
+    ASSERT_TRUE(renumbered.add_clause(lits));
+  }
+  int sat_answers = 0;
+  for (int round = 0; round < 30; ++round) {
+    std::vector<Lit> assumptions;
+    for (int i = 0; i < 4; ++i) {
+      assumptions.push_back(Lit(static_cast<Var>(rng.below(kVars)), rng.chance(0.5)));
+    }
+    renumbered.renumber_queue();
+    const bool sat = plain.solve(assumptions);
+    ASSERT_EQ(renumbered.solve(assumptions), sat) << "round " << round;
+    if (sat) {
+      ++sat_answers;
+      for (Var v = 0; v < kVars; ++v) EXPECT_EQ(renumbered.model_value(v), plain.model_value(v));
+    } else {
+      EXPECT_EQ(renumbered.conflict_assumptions(), plain.conflict_assumptions());
+    }
+    EXPECT_EQ(counters_of(renumbered.stats()), counters_of(plain.stats())) << "round " << round;
+  }
+  EXPECT_GT(sat_answers, 0);
+  EXPECT_LT(sat_answers, 30);
+  EXPECT_GT(plain.stats().conflicts, 1000u);
+}
+
 TEST(Sat, SearchFingerprint) {
   {
     Solver s;
     add_pigeonhole(s, 8);
     EXPECT_FALSE(s.solve());
-    EXPECT_EQ(counters_of(s.stats()), (SearchCounters{2939, 34945, 3424, 2933, 0, 0}));
+    EXPECT_EQ(counters_of(s.stats()), (SearchCounters{4846, 61446, 5873, 4842, 0, 0}));
   }
   {
     Solver s;
     const std::vector<Lit> assumptions = add_padded_pigeonhole(s, 7, 150);
     EXPECT_FALSE(s.solve(assumptions));
-    EXPECT_EQ(counters_of(s.stats()), (SearchCounters{701, 9103, 851, 700, 0, 3}));
+    EXPECT_EQ(counters_of(s.stats()), (SearchCounters{1084, 13396, 1337, 1083, 0, 4}));
   }
   {
     // Random 3-SAT near the threshold, re-solved under a changing set of
@@ -855,7 +979,7 @@ TEST(Sat, SearchFingerprint) {
       }
     }
     EXPECT_EQ(sat_answers, 3);
-    EXPECT_EQ(counters_of(s.stats()), (SearchCounters{28173, 1097490, 33753, 28173, 24084, 0}));
+    EXPECT_EQ(counters_of(s.stats()), (SearchCounters{37087, 1383267, 45394, 37087, 32143, 0}));
   }
 }
 
@@ -875,8 +999,9 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t x) {
 // padding literals: learnt clauses over the first four levels backtrack
 // chronologically, and a learnt cap of 40 runs reduce_db and the collector
 // while binary reasons sit on the trail. The digest covers every round's
-// verdict and its model or core. The expected values were computed with the
-// eager solver, which reordered a binary record at each implication.
+// verdict and its model or core. The expected values were first computed
+// with the eager solver, which reordered a binary record at each
+// implication, and computed again when decisions became focused-then-stable.
 TEST(Sat, BinaryHeavySearchFingerprint) {
   Xoshiro256 rng(2026);
   constexpr int kVars = 200;
@@ -922,8 +1047,8 @@ TEST(Sat, BinaryHeavySearchFingerprint) {
     }
   }
   EXPECT_EQ(sat_answers, 14);
-  EXPECT_EQ(counters_of(s.stats()), (SearchCounters{2277, 205280, 3180, 2276, 1903, 47}));
-  EXPECT_EQ(digest, 0x9b334f97081f3782ULL);
+  EXPECT_EQ(counters_of(s.stats()), (SearchCounters{2993, 252875, 4282, 2993, 2578, 45}));
+  EXPECT_EQ(digest, 0x424019bdeb3dadc2ULL);
 }
 
 } // namespace
