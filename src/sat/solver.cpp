@@ -33,7 +33,7 @@ Var Solver::new_var() {
   watches_.emplace_back();
   watches_.emplace_back();
   heap_pos_.push_back(-1);
-  queue_.emplace_back();
+  queue_slot_.push_back(0);
   queue_append(v);  // the newest variable is the next focused decision
   return v;
 }
@@ -310,7 +310,7 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
 
   // Move this conflict's variables to the queue's newest end, oldest first.
   std::sort(bumped_.begin(), bumped_.end(), [this](Var a, Var b) {
-    return queue_[static_cast<std::size_t>(a)].stamp < queue_[static_cast<std::size_t>(b)].stamp;
+    return queue_slot_[static_cast<std::size_t>(a)] < queue_slot_[static_cast<std::size_t>(b)];
   });
   for (const Var v : bumped_) queue_move_to_front(v);
   bumped_.clear();
@@ -462,8 +462,7 @@ void Solver::cancel_until(int target) {
   if (decision_level() <= target) return;
   const auto start = static_cast<std::size_t>(trail_lim_[static_cast<std::size_t>(target)]);
   kept_.clear();
-  Var search = queue_search_;
-  std::uint32_t search_stamp = queue_[static_cast<std::size_t>(search)].stamp;
+  std::size_t search = queue_search_;
   for (std::size_t c = trail_.size(); c-- > start;) {
     const Var v = trail_[c].var();
     if (level(v) <= target) {
@@ -475,10 +474,9 @@ void Solver::cancel_until(int target) {
     vals_[2 * static_cast<std::size_t>(v)] = LBool::Undef;
     vals_[2 * static_cast<std::size_t>(v) + 1] = LBool::Undef;
     phase_[static_cast<std::size_t>(v)] = trail_[c].sign() ? -1 : 1;
-    if (queue_[static_cast<std::size_t>(v)].stamp > search_stamp) {
-      search = v;
-      search_stamp = queue_[static_cast<std::size_t>(v)].stamp;
-    }
+    const std::uint32_t slot = queue_slot_[static_cast<std::size_t>(v)];
+    queue_set_free(slot);
+    search = std::max<std::size_t>(search, slot);
     if (stable_ && heap_pos_[static_cast<std::size_t>(v)] < 0) heap_insert(v);
   }
   queue_search_ = search;
@@ -496,12 +494,18 @@ Lit Solver::pick_branch_lit() {
       next = heap_pop();
     }
   } else {
-    next = queue_search_;
-    while (next != kUndefVar && value(next) != LBool::Undef) {
-      next = queue_[static_cast<std::size_t>(next)].prev;
+    // The highest free slot at or below queue_search_, a word at a time.
+    std::size_t w = queue_search_ >> 6;
+    std::uint64_t bits = queue_free_[w] & (~std::uint64_t{0} >> (63 - (queue_search_ & 63)));
+    while (bits == 0) {
+      if (w == 0) {
+        assert(queue_invariants_hold());
+        return Lit::undef();
+      }
+      bits = queue_free_[--w];
     }
-    if (next == kUndefVar) return Lit::undef();
-    queue_search_ = next;
+    queue_search_ = w * 64 + 63 - static_cast<std::size_t>(std::countl_zero(bits));
+    next = queue_order_[queue_search_];
   }
   const signed char ph = phase_[static_cast<std::size_t>(next)];
   return Lit(next, ph < 0);
@@ -744,13 +748,12 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
         continue;
       }
       cancel_until(confl_level);
-      std::vector<Lit> learnt;
       int bt_level = 0;
       unsigned lbd = 0;
-      analyze(confl, learnt, bt_level, lbd);
-      if (export_hook_ && lbd <= export_lbd_cap_ && learnt.size() <= export_size_cap_) {
+      analyze(confl, learnt_clause_, bt_level, lbd);
+      if (export_hook_ && lbd <= export_lbd_cap_ && learnt_clause_.size() <= export_size_cap_) {
         ++stats_.exported_clauses;
-        export_hook_(learnt, lbd);
+        export_hook_(learnt_clause_, lbd);
       }
       // Long jumps backtrack chronologically; either way the asserting
       // literal is assigned at bt_level, its real level. Backtracking past
@@ -761,19 +764,19 @@ bool Solver::solve(const std::vector<Lit>& assumptions) {
       } else {
         cancel_until(bt_level);
       }
-      if (learnt.size() == 1) {
-        if (value(learnt[0]) == LBool::Undef) {
-          uncheckedEnqueue(learnt[0], 0, kNoClause);
-        } else if (value(learnt[0]) == LBool::False) {
+      if (learnt_clause_.size() == 1) {
+        if (value(learnt_clause_[0]) == LBool::Undef) {
+          uncheckedEnqueue(learnt_clause_[0], 0, kNoClause);
+        } else if (value(learnt_clause_[0]) == LBool::False) {
           ok_ = false;
           return false;
         }
       } else {
-        const ClauseRef cr = alloc_clause(learnt, /*learnt=*/true, lbd);
+        const ClauseRef cr = alloc_clause(learnt_clause_, /*learnt=*/true, lbd);
         attach_clause(cr);
         learnts_.push_back(cr);
         ++stats_.learned_clauses;
-        uncheckedEnqueue(learnt[0], bt_level, cr);
+        uncheckedEnqueue(learnt_clause_[0], bt_level, cr);
       }
       var_decay_activity();
       if (learnts_.size() >= max_learnts_) {
@@ -872,38 +875,60 @@ std::size_t Solver::validate_model() const {
 // --- decision queue (focused mode) -------------------------------------------
 
 void Solver::queue_append(Var v) {
-  if (queue_stamp_ == std::numeric_limits<std::uint32_t>::max()) renumber_queue();
-  QueueLink& link = queue_[static_cast<std::size_t>(v)];
-  link.prev = queue_last_;
-  link.next = kUndefVar;
-  link.stamp = ++queue_stamp_;
-  if (queue_last_ != kUndefVar) {
-    queue_[static_cast<std::size_t>(queue_last_)].next = v;
-  } else {
-    queue_first_ = v;
+  if (queue_order_.size() >= 2 * static_cast<std::size_t>(num_vars()) + 64) renumber_queue();
+  const auto slot = static_cast<std::uint32_t>(queue_order_.size());
+  queue_order_.push_back(v);
+  queue_slot_[static_cast<std::size_t>(v)] = slot;
+  if ((slot >> 6) == queue_free_.size()) queue_free_.push_back(0);
+  if (value(v) == LBool::Undef) {
+    queue_set_free(slot);
+    queue_search_ = slot;
   }
-  queue_last_ = v;
-  if (value(v) == LBool::Undef) queue_search_ = v;
 }
 
 void Solver::queue_move_to_front(Var v) {
-  if (v == queue_last_) return;
-  const QueueLink& link = queue_[static_cast<std::size_t>(v)];
-  if (link.prev != kUndefVar) {
-    queue_[static_cast<std::size_t>(link.prev)].next = link.next;
-  } else {
-    queue_first_ = link.next;
-  }
-  queue_[static_cast<std::size_t>(link.next)].prev = link.prev;
+  const std::uint32_t slot = queue_slot_[static_cast<std::size_t>(v)];
+  if (slot + 1 == queue_order_.size()) return;
+  queue_order_[slot] = kUndefVar;
+  queue_clear_free(slot);
   queue_append(v);
 }
 
 void Solver::renumber_queue() {
-  queue_stamp_ = 0;
-  for (Var v = queue_first_; v != kUndefVar; v = queue_[static_cast<std::size_t>(v)].next) {
-    queue_[static_cast<std::size_t>(v)].stamp = ++queue_stamp_;
+  assert(queue_invariants_hold());
+  // Slides every variable down over the holes, in order, and its bit with
+  // it; the new search slot is the last variable's at or below the old one.
+  std::size_t to = 0, search = 0;
+  for (std::size_t s = 0; s < queue_order_.size(); ++s) {
+    const Var v = queue_order_[s];
+    if (v == kUndefVar) continue;
+    if (s <= queue_search_) search = to;
+    const bool free = (queue_free_[s >> 6] >> (s & 63)) & 1;
+    queue_clear_free(static_cast<std::uint32_t>(s));
+    if (free) queue_set_free(static_cast<std::uint32_t>(to));
+    queue_order_[to] = v;
+    queue_slot_[static_cast<std::size_t>(v)] = static_cast<std::uint32_t>(to);
+    ++to;
   }
+  queue_order_.resize(to);
+  queue_free_.resize(to / 64 + 1);
+  queue_search_ = search;
+  assert(queue_invariants_hold());
 }
+
+#ifndef NDEBUG
+bool Solver::queue_invariants_hold() const {
+  if (queue_free_.size() * 64 < queue_order_.size()) return false;
+  for (std::size_t s = 0; s < queue_free_.size() * 64; ++s) {
+    const Var v = s < queue_order_.size() ? queue_order_[s] : kUndefVar;
+    if (v != kUndefVar && queue_slot_[static_cast<std::size_t>(v)] != s) return false;
+    const bool free = v != kUndefVar && value(v) == LBool::Undef;
+    if (((queue_free_[s >> 6] >> (s & 63)) & 1) != static_cast<std::uint64_t>(free)) return false;
+    if (free && s > queue_search_) return false;
+  }
+  return true;
+}
+#endif
 
 void Solver::switch_to_stable() {
   stable_ = true;

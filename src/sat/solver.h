@@ -12,7 +12,9 @@
 //     like CaDiCaL's and Kissat's focused and stable modes (Oh, SAT 2015).
 //     Most incremental queries here end within a few dozen conflicts, where
 //     the queue decides with no heap work; the rare hard query finishes on
-//     VSIDS (see kStableAfterConflicts),
+//     VSIDS (see kStableAfterConflicts). The queue is a slot array with a
+//     bitset of the slots that hold an unassigned variable, so the newest
+//     free variable is found a 64-bit word at a time (see "decision order"),
 //   - Luby-sequence restarts,
 //   - chronological backtracking for long backjumps (Nadel & Ryvchin,
 //     SAT 2018; Möhle & Biere, SAT 2019), which keeps the trail out of
@@ -270,9 +272,11 @@ public:
   // is dead; a call at any other time leaves the search as it was, since
   // records, their literals, watch lists and learnts_ all keep their order.
   void garbage_collect();
-  // Renumbers the decision queue's bump stamps 1..n in queue order, keeping
-  // the order itself. Runs by itself before a stamp would wrap; public so
-  // tests can check that it leaves the search as it was.
+  // Compacts the decision queue: drops the holes that moved variables left,
+  // renumbers the slots 0..n-1 in queue order and rebuilds the free-slot
+  // bits, keeping the order itself. Runs by itself once the queue reaches
+  // 2n+64 slots; public so tests can check that it leaves the search as it
+  // was.
   void renumber_queue();
 
   // The arena bound behind alloc_clause, which throws std::length_error in
@@ -377,6 +381,7 @@ private:
     vals_[static_cast<std::size_t>(p.index())] = LBool::True;
     vals_[static_cast<std::size_t>((~p).index())] = LBool::False;
     var_info_[static_cast<std::size_t>(p.var())] = VarInfo{from, level};
+    queue_clear_free(queue_slot_[static_cast<std::size_t>(p.var())]);
     trail_.push_back(p);
   }
   // Drains the import hook into import_buf_; if clauses arrived, backtracks
@@ -407,10 +412,23 @@ private:
   int decision_level() const { return static_cast<int>(trail_lim_.size()); }
 
   // decision queue (focused mode; see "decision order" below)
-  // Links v as the newest entry, with a fresh stamp.
+  void queue_set_free(std::uint32_t slot) {
+    queue_free_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  }
+  void queue_clear_free(std::uint32_t slot) {
+    queue_free_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+  }
+  // Puts v into a new slot at the newest end, compacting first if the
+  // queue is full of holes.
   void queue_append(Var v);
-  // Unlinks v and appends it again.
+  // Leaves a hole in v's slot and appends v again.
   void queue_move_to_front(Var v);
+#ifndef NDEBUG
+  // The queue invariants behind pick_branch_lit: each slot's bit is set
+  // iff the slot holds an unassigned variable, the slot a variable names
+  // holds it, and no slot above queue_search_ holds an unassigned variable.
+  bool queue_invariants_hold() const;
+#endif
   // Leaves focused mode: fills the heap with the unassigned variables.
   void switch_to_stable();
 
@@ -442,6 +460,7 @@ private:
   std::vector<char> seen_;
   std::vector<Lit> analyze_stack_;
   std::vector<Lit> analyze_toclear_;
+  std::vector<Lit> learnt_clause_;  // solve() scratch: the clause analyze learns
   std::vector<Lit> kept_;  // cancel_until scratch
 
   std::vector<Lit> trail_;
@@ -449,28 +468,27 @@ private:
   std::size_t qhead_ = 0;
 
   // --- decision order ------------------------------------------------------------
-  // Focused mode: every variable sits in one doubly linked queue, ordered by
-  // a 32-bit bump stamp, oldest first. New variables and the variables each
-  // conflict analysis bumps are moved to the back (the newest end); analyze
-  // moves its batch in old-stamp order, so the batch keeps its relative
-  // order. Every variable newer than queue_search_ is assigned, so
-  // pick_branch_lit walks back from it and cancel_until moves it to any
-  // newer variable it frees.
+  // Focused mode: queue_order_ lists every variable in bump order, oldest
+  // first. New variables and the variables each conflict analysis bumps are
+  // appended to a new slot at the back (the newest end), leaving a hole
+  // (kUndefVar) in the slot they left; analyze appends its batch in old-slot
+  // order, so the batch keeps its relative order. A slot's bit in
+  // queue_free_ is set iff it holds an unassigned variable: uncheckedEnqueue
+  // clears it and cancel_until sets it. No slot above queue_search_ holds an
+  // unassigned variable, so pick_branch_lit takes the highest set bit at or
+  // below it, a 64-bit word at a time, and cancel_until raises it to any
+  // higher slot it frees. Once holes make the array 2n+64 slots long,
+  // renumber_queue compacts it.
   // Stable mode: heap_ holds every unassigned variable by activity.
-  // Activities are bumped and decayed in both modes, the queue is kept in
-  // both modes, and the heap is touched only in stable mode and rebuilt on
-  // each switch.
-  struct QueueLink {
-    Var prev = kUndefVar;
-    Var next = kUndefVar;
-    std::uint32_t stamp = 0;
-  };
-  std::vector<QueueLink> queue_;  // indexed by variable
-  Var queue_first_ = kUndefVar;   // oldest
-  Var queue_last_ = kUndefVar;    // newest
-  Var queue_search_ = kUndefVar;
-  std::uint32_t queue_stamp_ = 0; // the newest stamp handed out
-  std::vector<Var> bumped_;       // analyze scratch: this conflict's bumps
+  // Activities are bumped and decayed in both modes, the queue and its bits
+  // are kept in both modes, and the heap is touched only in stable mode and
+  // rebuilt on each switch.
+  std::vector<Var> queue_order_;           // slot -> variable or hole
+  std::vector<std::uint32_t> queue_slot_;  // variable -> its slot
+  // One bit per slot; at least one word, so pick_branch_lit can always read one.
+  std::vector<std::uint64_t> queue_free_ = std::vector<std::uint64_t>(1);
+  std::size_t queue_search_ = 0;
+  std::vector<Var> bumped_;  // analyze scratch: this conflict's bumps
   bool stable_ = false;
 
   std::vector<int> heap_;     // heap of vars

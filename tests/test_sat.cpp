@@ -900,9 +900,9 @@ TEST(Sat, StableModeLastsOneCall) {
   EXPECT_EQ(s.validate_model(), 0u);
 }
 
-// renumber_queue() runs by itself only before a 32-bit stamp would wrap.
-// Renumbering before every call must leave the search exactly as it was:
-// the twins below agree on every answer, model and counter.
+// renumber_queue() compacts the queue by itself once holes make it 2n+64
+// slots long. Compacting before every call must leave the search exactly as
+// it was: the twins below agree on every answer, model and counter.
 TEST(Sat, RenumberingStampsKeepsTheQueueOrder) {
   Xoshiro256 rng(2024);
   constexpr int kVars = 120;
@@ -1049,6 +1049,60 @@ TEST(Sat, BinaryHeavySearchFingerprint) {
   EXPECT_EQ(sat_answers, 14);
   EXPECT_EQ(counters_of(s.stats()), (SearchCounters{2993, 252875, 4282, 2993, 2578, 45}));
   EXPECT_EQ(digest, 0x424019bdeb3dadc2ULL);
+}
+
+// The same pin at width, for the focused mode's decision queue: 1,000
+// variables of random 3-SAT below the threshold, re-solved under 40 sets of
+// 30 random assumption literals. Every fourth round first adds a PHP(7,6)
+// behind a fresh guard and assumes the guard too, so the queue grows between
+// calls, 8 of those 10 rounds answer UNSAT only after more than
+// kStableAfterConflicts conflicts (finishing on the heap, and the next call
+// starting focused again), and the run ends with 1,430 variables. A learnt
+// cap of 60 runs reduce_db and the collector in the middle of searches, and
+// each conflict moves its bumped variables to the newest end of a queue far
+// wider than one 64-bit word. The digest covers every round's verdict and
+// its model or core. The expected values were computed with the linked-list
+// queue, before the queue became a slot array with a free-slot bitset.
+TEST(Sat, WideQueueSearchFingerprint) {
+  Xoshiro256 rng(7);
+  constexpr int kVars = 1000;
+  Solver s;
+  s.set_max_learnts(60);
+  std::vector<Var> vars;
+  for (int i = 0; i < kVars; ++i) vars.push_back(s.new_var());
+  for (const auto& cl : random_clauses(rng, kVars, 3, 3, kVars * 32 / 10)) {
+    std::vector<Lit> lits;
+    for (int lit : cl) lits.push_back(Lit(vars[std::abs(lit) - 1], lit < 0));
+    ASSERT_TRUE(s.add_clause(lits));
+  }
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  int sat_answers = 0;
+  for (int round = 0; round < 40; ++round) {
+    std::vector<Lit> assumptions;
+    if (round % 4 == 3) {
+      const Var g = s.new_var();
+      add_pigeonhole(s, 7, pos(g));
+      assumptions.push_back(pos(g));
+    }
+    for (int i = 0; i < 30; ++i) {
+      assumptions.push_back(Lit(vars[rng.below(kVars)], rng.chance(0.5)));
+    }
+    const bool sat = s.solve(assumptions);
+    digest = fnv_mix(digest, sat);
+    if (sat) {
+      ++sat_answers;
+      EXPECT_EQ(s.validate_model(), 0u);
+      for (Var v = 0; v < s.num_vars(); ++v) digest = fnv_mix(digest, s.model_value(v));
+    } else {
+      for (const Lit l : s.conflict_assumptions()) {
+        digest = fnv_mix(digest, static_cast<std::uint64_t>(l.index()));
+      }
+    }
+  }
+  EXPECT_EQ(s.num_vars(), 1430);
+  EXPECT_EQ(sat_answers, 26);
+  EXPECT_EQ(counters_of(s.stats()), (SearchCounters{14810, 858409, 34458, 14802, 13443, 0}));
+  EXPECT_EQ(digest, 0xd901149a5381f29dULL);
 }
 
 } // namespace
