@@ -97,10 +97,12 @@ bool Solver::add_clause(const std::vector<Lit>& lits_in) {
   // answer); clear them first.
   cancel_until(0);
 
-  std::vector<Lit> lits = lits_in;
+  std::vector<Lit>& lits = add_sorted_;
+  lits.assign(lits_in.begin(), lits_in.end());
   std::sort(lits.begin(), lits.end());
   // Remove duplicates; detect tautologies and already-satisfied clauses.
-  std::vector<Lit> out;
+  std::vector<Lit>& out = add_kept_;
+  out.clear();
   Lit prev = Lit::undef();
   for (Lit l : lits) {
     if (value(l) == LBool::True || l == ~prev) return true; // satisfied / tautology
@@ -285,7 +287,7 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
       if (!seen_[static_cast<std::size_t>(v)] && var_info_[static_cast<std::size_t>(v)].level > 0) {
         seen_[static_cast<std::size_t>(v)] = 1;
         var_bump_activity(v);
-        bumped_.push_back(v);
+        bumped_.push_back(static_cast<std::uint64_t>(v));
         if (var_info_[static_cast<std::size_t>(v)].level >= decision_level()) {
           ++path_count;
         } else {
@@ -309,10 +311,17 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
   out_learnt[0] = ~p;
 
   // Move this conflict's variables to the queue's newest end, oldest first.
-  std::sort(bumped_.begin(), bumped_.end(), [this](Var a, Var b) {
-    return queue_slot_[static_cast<std::size_t>(a)] < queue_slot_[static_cast<std::size_t>(b)];
-  });
-  for (const Var v : bumped_) queue_move_to_front(v);
+  // Slots are distinct, so sorting `slot << 32 | var` keys gives the slot
+  // order while comparing registers only.
+  for (std::uint64_t& key : bumped_) {
+    const Var v = static_cast<Var>(key);
+    key = static_cast<std::uint64_t>(queue_slot_[static_cast<std::size_t>(v)]) << 32 |
+          static_cast<std::uint32_t>(v);
+  }
+  std::sort(bumped_.begin(), bumped_.end());
+  for (const std::uint64_t key : bumped_) {
+    queue_move_to_front(static_cast<Var>(key & 0xffffffffu));
+  }
   bumped_.clear();
 
   // Conflict-clause minimization (recursive, abstraction-guided).

@@ -462,6 +462,8 @@ private:
   std::vector<Lit> analyze_toclear_;
   std::vector<Lit> learnt_clause_;  // solve() scratch: the clause analyze learns
   std::vector<Lit> kept_;  // cancel_until scratch
+  std::vector<Lit> add_sorted_;  // add_clause scratch: the sorted input
+  std::vector<Lit> add_kept_;    // add_clause scratch: the literals kept
 
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;
@@ -488,7 +490,9 @@ private:
   // One bit per slot; at least one word, so pick_branch_lit can always read one.
   std::vector<std::uint64_t> queue_free_ = std::vector<std::uint64_t>(1);
   std::size_t queue_search_ = 0;
-  std::vector<Var> bumped_;  // analyze scratch: this conflict's bumps
+  // analyze scratch: this conflict's bumps, each a variable (low 32 bits)
+  // that becomes a `slot << 32 | var` sort key before the move.
+  std::vector<std::uint64_t> bumped_;
   bool stable_ = false;
 
   std::vector<int> heap_;     // heap of vars
