@@ -1,5 +1,6 @@
 #include "encode/miter.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_set>
 
@@ -147,6 +148,87 @@ void Miter::select_candidates(unsigned frame, const std::vector<rtlir::StateVarI
     if (on.find(sv) == on.end()) out_assumptions.push_back(~group.activation.at(sv));
   }
   out_assumptions.push_back(~group.tail);
+}
+
+const Miter::StructuralSupport& Miter::structural_support(rtlir::StateVarId sv) {
+  if (supports_.empty()) {
+    const rtlir::Design& design = a_.design();
+    // Folds one cone's terminals into a support: register outputs and every
+    // word behind a memory read are state; inputs count only per instance.
+    const auto fold = [&](const std::vector<rtlir::NetId>& roots) {
+      StructuralSupport out;
+      const std::vector<bool> cone = rtlir::comb_fanin(design, roots);
+      for (rtlir::NetId n = 0; n < cone.size(); ++n) {
+        if (!cone[n]) continue;
+        const rtlir::Net& net = design.net(n);
+        if (net.kind == rtlir::NetKind::RegQ) {
+          out.state.push_back(svt_.of_register(net.payload));
+        } else if (net.kind == rtlir::NetKind::MemRead) {
+          const std::uint32_t mem = design.mem_reads()[net.payload].mem;
+          for (std::uint32_t w = 0; w < design.memories()[mem].words; ++w) {
+            out.state.push_back(svt_.of_mem_word(mem, w));
+          }
+        } else if (net.kind == rtlir::NetKind::Input && options_.per_instance &&
+                   options_.per_instance(net.name)) {
+          out.per_instance_input = true;
+        }
+      }
+      return out;
+    };
+    const auto finish = [](StructuralSupport& s) {
+      std::sort(s.state.begin(), s.state.end());
+      s.state.erase(std::unique(s.state.begin(), s.state.end()), s.state.end());
+    };
+    supports_.resize(svt_.size());
+    for (std::uint32_t r = 0; r < design.registers().size(); ++r) {
+      const rtlir::Register& reg = design.registers()[r];
+      StructuralSupport& s = supports_[svt_.of_register(r)];
+      s = fold({reg.d, reg.en, reg.q});
+      finish(s);
+    }
+    for (std::uint32_t m = 0; m < design.memories().size(); ++m) {
+      std::vector<rtlir::NetId> roots;
+      for (const rtlir::MemWritePort& wp : design.memories()[m].writes) {
+        roots.insert(roots.end(), {wp.addr, wp.data, wp.en});
+      }
+      const StructuralSupport ports = fold(roots);
+      for (std::uint32_t w = 0; w < design.memories()[m].words; ++w) {
+        StructuralSupport& s = supports_[svt_.of_mem_word(m, w)];
+        s = ports;
+        s.state.push_back(svt_.of_mem_word(m, w));
+        finish(s);
+      }
+    }
+  }
+  return supports_[sv];
+}
+
+Lit Miter::structural_guard(rtlir::StateVarId sv, unsigned frame) {
+  if (frame == 0) {
+    assert(cnf_.is_false(exempt_lit(sv)) && "an exemptible word has no frame-0 guard");
+    return eq_assumption(sv);
+  }
+  const std::uint64_t key = (static_cast<std::uint64_t>(frame) << 32) | sv;
+  auto it = guards_.find(key);
+  if (it != guards_.end()) return it->second;
+
+  const StructuralSupport& support = structural_support(sv);
+  assert(!support.per_instance_input && "a per-instance input breaks structural equality");
+  std::vector<Lit> clause;
+  clause.reserve(support.state.size() + 1);
+  for (rtlir::StateVarId u : support.state) clause.push_back(~structural_guard(u, frame - 1));
+  const Lit g = cnf_.fresh();
+  clause.push_back(g);
+  cnf_.add_clause(clause);
+  const Bits& av = a_.state_at(frame, sv);
+  const Bits& bv = b_.state_at(frame, sv);
+  for (std::size_t i = 0; i < av.size(); ++i) {
+    if (av[i] == bv[i]) continue; // one literal (a folded constant): nothing to imply
+    cnf_.add_clause({~g, ~av[i], bv[i]});
+    cnf_.add_clause({~g, av[i], ~bv[i]});
+  }
+  guards_.emplace(key, g);
+  return g;
 }
 
 std::uint64_t Miter::model_value(const sat::ModelSource& model, const Bits& image) const {

@@ -18,6 +18,13 @@
 // Primary_Input_Constraints(), enforced with zero clauses); inputs named by
 // the per_instance predicate (the CPU/system interface of Obs. 1) get
 // independent images so the Victim_Task_Executing() macro can constrain them.
+//
+// Because shared inputs have one image and every gate is full Tseitin, a
+// state variable whose one-step cone reads only state equal in both
+// instances (and no per-instance input) is equal too. The miter exposes
+// that structure for the sweeps' pre-SAT pass: each state variable's
+// support (structural_support) and guarded equality lemmas
+// (structural_guard) that hand the solver what structure already proves.
 #pragma once
 
 #include <cassert>
@@ -121,6 +128,36 @@ public:
   void select_candidates(unsigned frame, const std::vector<rtlir::StateVarId>& enabled,
                          std::vector<Lit>& out_assumptions) const;
 
+  // --- structural equality (the pre-SAT pass of upec::sweep_frame) -------------
+  // What a state variable's one-step cone reads: the rtlir::comb_fanin of a
+  // register's d, en and q, or, for a memory word, of every write port's
+  // addr, data and en, plus the word itself. A MemRead in the cone reads every
+  // word of its memory. `per_instance_input` is set when the cone reads an
+  // input that MiterOptions::per_instance gives one image per instance. The
+  // supports of all state variables are computed on the first call and
+  // memoized in this miter.
+  struct StructuralSupport {
+    std::vector<rtlir::StateVarId> state; // sorted ascending
+    bool per_instance_input = false;
+  };
+  const StructuralSupport& structural_support(rtlir::StateVarId sv);
+
+  // Guard g(sv, frame) of the lemma "sv is equal in both instances at
+  // `frame`", encoded once per (sv, frame):
+  //   g(sv, 0) is eq_assumption(sv), which sv's exemption must not weaken
+  //     (exempt_lit(sv) constant false);
+  //   for frame >= 1, a fresh g with
+  //     (~g(u, frame - 1) for every u in sv's support) | g
+  //     g -> (a_i <-> b_i) for every bit i of state_at(frame, sv)
+  //   where sv's cone reads no per-instance input, and every u gets its own
+  //   guard at frame - 1 by the same rule.
+  // Under those conditions the clauses are implied: the encoding is full
+  // Tseitin and shared inputs have one image, so equal support state gives
+  // equal next state, and setting each g to the conjunction of its support
+  // guards extends every model. Answers never change; the solver only gets
+  // the equality without rediscovering it.
+  Lit structural_guard(rtlir::StateVarId sv, unsigned frame);
+
   // --- model inspection (valid after a SAT solve) ------------------------------
   // The default model source (the solver itself in the single-solver setup;
   // the scheduler's worker 0, which answers CheckScheduler::check, in a
@@ -161,6 +198,9 @@ private:
     Lit tail = Lit::undef(); // open end of the group-disjunction chain
   };
   std::unordered_map<unsigned, CandidateGroup> candidate_groups_;
+
+  std::vector<StructuralSupport> supports_; // per state variable; empty until first use
+  std::unordered_map<std::uint64_t, Lit> guards_; // (frame<<32)|sv
 };
 
 } // namespace upec::encode

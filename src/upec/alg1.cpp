@@ -47,6 +47,7 @@ Alg1Result run_alg1(UpecContext& ctx, const Alg1Options& options) {
     log.pers_hits = out.pers_hits.size();
     log.removed = out.s_cex;
     log.pruned = out.pruned;
+    log.structural = out.structural;
     log.timed_out = out.timed_out;
     result.total_seconds += out.seconds;
 

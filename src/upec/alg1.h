@@ -39,6 +39,8 @@ struct IterationLog {
   // Candidates skipped this iteration because a recorded UNSAT core still
   // refutes them.
   std::size_t pruned = 0;
+  // Candidates refuted by structure alone this iteration, without a solve.
+  std::size_t structural = 0;
   // The iteration's Unknown status came from a wall-clock deadline hit
   // (VerifyOptions::deadline_ms) rather than conflict-budget exhaustion.
   bool timed_out = false;
@@ -57,8 +59,9 @@ struct Alg1Result {
   StateSet final_s;
   double total_seconds = 0.0;
   // Every counter behind the run: the scheduler's registry
-  // (CheckScheduler::metrics) plus `upec.sweep.pruned_candidates`. Names and
-  // merge conventions: README "Observability".
+  // (CheckScheduler::metrics) plus `upec.sweep.pruned_candidates` and
+  // `upec.sweep.structural_candidates`. Names and merge conventions: README
+  // "Observability".
   util::MetricsSnapshot metrics;
   // Unknown verdict was (at least in part) a wall-clock deadline hit.
   bool timed_out = false;

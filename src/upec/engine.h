@@ -123,6 +123,9 @@ public:
   PersistenceClassifier pers;
   // UNSAT-core frontier pruner, fed by every saturating sweep.
   FrontierPruner pruner;
+  // Candidates the structural pass of sweep_frame refuted without a solve,
+  // over every sweep (`upec.sweep.structural_candidates`).
+  std::uint64_t structural_candidates = 0;
   // Absolute deadline derived from options.deadline_ms at construction
   // (nullopt = unlimited); installed on every worker backend.
   std::optional<std::chrono::steady_clock::time_point> run_deadline;

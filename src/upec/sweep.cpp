@@ -1,5 +1,7 @@
 #include "upec/sweep.h"
 
+#include <algorithm>
+#include <iterator>
 #include <unordered_set>
 
 #include "upec/alg1.h"
@@ -68,9 +70,21 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assum
     members = std::move(eligible);
   }
 
+  if (saturate && !members.empty()) {
+    // Registration first: every candidate the pruner left gets its activation
+    // literal, as the scheduler would have registered it, before the
+    // structural pass takes its share. A candidate that is structural now
+    // but swept later then finds itself registered, and the store does not
+    // grow (and force a new preprocessing run) late in the run.
+    ctx.miter.register_candidates(members, frame);
+    out.unsat_groups = refute_structurally(ctx.miter, eq_assumed, members, frame);
+    out.structural = out.unsat_groups.size();
+    ctx.structural_candidates += out.structural;
+  }
+
   if (members.empty()) {
-    // Everything pruned (or S empty): the frontier is proven empty without a
-    // single solver call.
+    // Everything pruned or structurally refuted (or S empty): the frontier
+    // is proven empty without a single solver call.
     out.status = ipc::CheckStatus::Holds;
   } else if (saturate) {
     ipc::SweepResult r = ctx.scheduler.sweep(ctx.miter, assumptions, members, frame);
@@ -78,7 +92,7 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assum
     out.s_cex = std::move(r.differing);
     out.seconds = r.seconds;
     out.conflicts = r.conflicts;
-    out.unsat_groups = std::move(r.unsat_groups);
+    std::move(r.unsat_groups.begin(), r.unsat_groups.end(), std::back_inserter(out.unsat_groups));
     out.timed_out = r.timed_out;
   } else {
     out = sweep_single_model(ctx, assumptions, members, frame);
@@ -111,6 +125,54 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assum
   return out;
 }
 
+std::vector<ipc::SweepResult::UnsatGroup> refute_structurally(
+    encode::Miter& miter, const std::unordered_set<rtlir::StateVarId>& eq_assumed,
+    std::vector<rtlir::StateVarId>& members, unsigned frame) {
+  util::trace::Span span("upec.structural", "upec");
+  span.arg("frame", std::uint64_t{frame});
+  const std::size_t n = miter.state_vars().size();
+  std::vector<char> equal(n, 0);
+  for (rtlir::StateVarId u : eq_assumed) equal[u] = miter.cnf().is_false(miter.exempt_lit(u));
+  for (unsigned j = 1; j <= frame; ++j) {
+    std::vector<char> next(n, 0);
+    for (rtlir::StateVarId sv = 0; sv < n; ++sv) {
+      const encode::Miter::StructuralSupport& support = miter.structural_support(sv);
+      next[sv] = !support.per_instance_input &&
+                 std::all_of(support.state.begin(), support.state.end(),
+                             [&equal](rtlir::StateVarId u) { return equal[u] != 0; });
+    }
+    equal = std::move(next);
+  }
+
+  std::vector<ipc::SweepResult::UnsatGroup> groups;
+  std::vector<rtlir::StateVarId> rest;
+  for (rtlir::StateVarId sv : members) {
+    if (!equal[sv]) {
+      rest.push_back(sv);
+      continue;
+    }
+    std::vector<rtlir::StateVarId> leaves = {sv};
+    for (unsigned j = frame; j > 0; --j) {
+      std::vector<rtlir::StateVarId> below;
+      for (rtlir::StateVarId u : leaves) {
+        const std::vector<rtlir::StateVarId>& state = miter.structural_support(u).state;
+        below.insert(below.end(), state.begin(), state.end());
+      }
+      std::sort(below.begin(), below.end());
+      below.erase(std::unique(below.begin(), below.end()), below.end());
+      leaves = std::move(below);
+    }
+    std::vector<sat::Lit> core;
+    core.reserve(leaves.size());
+    for (rtlir::StateVarId u : leaves) core.push_back(miter.eq_assumption(u));
+    miter.structural_guard(sv, frame);
+    groups.push_back(ipc::SweepResult::UnsatGroup{{sv}, std::move(core)});
+  }
+  members = std::move(rest);
+  span.arg("refuted", static_cast<std::uint64_t>(groups.size()));
+  return groups;
+}
+
 std::optional<ipc::Waveform> extract_pers_waveform(UpecContext& ctx,
                                                    const std::vector<encode::Lit>& assumptions,
                                                    const SweepOutcome& out, unsigned frame,
@@ -135,6 +197,7 @@ std::optional<ipc::Waveform> extract_pers_waveform(UpecContext& ctx,
 util::MetricsSnapshot collect_metrics(const UpecContext& ctx) {
   util::MetricsSnapshot m = ctx.scheduler.metrics();
   m.add_counter("upec.sweep.pruned_candidates", ctx.pruner.total_pruned());
+  m.add_counter("upec.sweep.structural_candidates", ctx.structural_candidates);
   return m;
 }
 

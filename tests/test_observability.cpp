@@ -284,10 +284,12 @@ TEST(UsageBlock, SingleWorkerDetectionIsPinned) {
   const Alg1Result r = run_alg1(ctx);
   ASSERT_EQ(r.verdict, Verdict::Vulnerable);
   EXPECT_EQ(solver_usage_block(render_report(ctx, r)),
-            "solver usage (1 worker): 126 solves, 12573 conflicts, 291370 decisions, "
-            "6145479 propagations\n"
-            "  worker 0: 126 solves, 12573 conflicts, 291370 decisions, 6145479 propagations, "
-            "12532 learned\n");
+            "solver usage (1 worker): 67 solves, 8005 conflicts, 193757 decisions, "
+            "4489048 propagations\n"
+            "frontier pruning: 0 candidates pruned by cores, structural: 59 refuted without a "
+            "solve, 7975 learnts retained\n"
+            "  worker 0: 67 solves, 8005 conflicts, 193757 decisions, 4489048 propagations, "
+            "7975 learned\n");
 }
 
 TEST(UsageBlock, TwoWorkerPreprocessedSecureIsPinned) {
@@ -307,15 +309,16 @@ TEST(UsageBlock, TwoWorkerPreprocessedSecureIsPinned) {
   const Alg1Result r = run_alg1(ctx, opts);
   ASSERT_EQ(r.verdict, Verdict::Secure);
   EXPECT_EQ(solver_usage_block(render_report(ctx, r)),
-            "solver usage (2 workers): 138 solves, 15420 conflicts, 1516083 decisions, "
-            "3527623 propagations\n"
-            "frontier pruning: 237 candidates pruned by cores, 15311 learnts retained\n"
-            "preprocessing: 1 runs / 1 reuses, 12768 vars eliminated, 1398 subsumed, "
-            "9601 strengthened, 0 failed literals, 3 fixed; last run 67997 -> 40953 clauses\n"
-            "  worker 0: 70 solves, 7792 conflicts, 973100 decisions, 2110321 propagations, "
-            "7782 learned\n"
-            "  worker 1: 68 solves, 7628 conflicts, 542983 decisions, 1417302 propagations, "
-            "7529 learned\n");
+            "solver usage (2 workers): 80 solves, 11581 conflicts, 1125231 decisions, "
+            "2776945 propagations\n"
+            "frontier pruning: 236 candidates pruned by cores, structural: 59 refuted without a "
+            "solve, 11496 learnts retained\n"
+            "preprocessing: 1 runs / 1 reuses, 12440 vars eliminated, 1374 subsumed, "
+            "9577 strengthened, 0 failed literals, 3 fixed; last run 69376 -> 42403 clauses\n"
+            "  worker 0: 40 solves, 6704 conflicts, 758611 decisions, 1848632 propagations, "
+            "6689 learned\n"
+            "  worker 1: 40 solves, 4877 conflicts, 366620 decisions, 928313 propagations, "
+            "4807 learned\n");
 }
 
 // ---------------------------------------------------------------------------
