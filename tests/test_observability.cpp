@@ -321,6 +321,30 @@ TEST(UsageBlock, TwoWorkerPreprocessedSecureIsPinned) {
             "4807 learned\n");
 }
 
+TEST(UsageBlock, SingleWorkerAlg2CountermeasureIsPinned) {
+  // The off-benchmark Alg. 2 run: countermeasure SoC, pub 2 / priv 2, one
+  // worker, unrolled to k = 3 and closed by induction (perfbench_driver
+  // --alg 2 --pub-words 2 --priv-words 2 --threads 1 --countermeasure).
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 2;
+  cfg.priv_ram_words = 2;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  VerifyOptions options = countermeasure_options();
+  options.threads = 1;
+  UpecContext ctx(soc, options);
+  const Alg2Result r = run_alg2(ctx);
+  ASSERT_EQ(r.verdict, Verdict::Secure);
+  ASSERT_EQ(r.final_k, 3u);
+  EXPECT_EQ(solver_usage_block(render_report(ctx, r)),
+            "solver usage (1 worker): 294 solves, 53307 conflicts, 906290 decisions, "
+            "54518581 propagations\n"
+            "frontier pruning: 341 candidates pruned by cores, structural: 61 refuted without a "
+            "solve, 15926 learnts retained\n"
+            "  worker 0: 294 solves, 53307 conflicts, 906290 decisions, 54518581 propagations, "
+            "53185 learned\n");
+  EXPECT_EQ(r.metrics.get("sat.solver.total.restarts"), 329u);
+}
+
 // ---------------------------------------------------------------------------
 // TraceEvents: arm a session through VerifyOptions, then parse the emitted
 // stream back with the strict reader and check the structural discipline a
