@@ -1,5 +1,5 @@
 // Design-choice ablations called out in DESIGN.md §6, beyond the encoder
-// ones in bench_solver:
+// sizes in bench_solver:
 //
 //  - counterexample saturation on/off: same verdicts, different iteration
 //    granularity and total solver effort,

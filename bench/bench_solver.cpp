@@ -1,16 +1,17 @@
-// Experiment T-SOLVER — solver / encoder microbenchmarks and the two encoder
-// ablations called out in DESIGN.md:
+// Experiment T-SOLVER — solver / encoder microbenchmarks and the encoder
+// sizes called out in DESIGN.md:
 //
 //  - cone-of-influence reduction: fraction of the design a 2-cycle property
 //    actually touches (the lazy encoder materializes only this),
-//  - shared-prefix miter vs assumption-mode miter: CNF size for the same
-//    State_Equivalence(S) constraint,
+//  - the assumption-mode miter's CNF size for State_Equivalence(S_all),
 //  - CDCL throughput on the SoC transition relation and on classic hard
 //    instances (pigeonhole), on the same self-timed harness as the other
 //    bench binaries (no external benchmark library).
 //
-// Writes a JSON artifact (default BENCH_solver.json, or argv path). --quick
-// runs one repetition per row and caps the pigeonhole size for CI.
+// Writes a JSON artifact (default BENCH_solver.json in the working directory,
+// or argv path); nothing is committed as a baseline, perfbench/ is the
+// performance ledger. --quick runs one repetition per row and caps the
+// pigeonhole size for CI.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -128,35 +129,19 @@ void print_ablation_tables() {
                   static_cast<double>(coi.total_nets),
               coi.state_vars.size(), svt.size());
 
-  // --- shared-prefix vs assumption-mode miter -------------------------------------
-  std::printf("\n## miter encodings for State_Equivalence(S_all) at t\n");
-  {
-    sat::Solver solver;
-    encode::Miter m(solver, *soc.design, svt,
-                    encode::MiterOptions{.per_instance = soc::Soc::is_cpu_interface,
-                                         .shared_prefix = false});
-    for (rtlir::StateVarId sv = 0; sv < svt.size(); ++sv) {
-      m.eq_assumption(sv);
-      m.diff_literal(sv, 1);
-    }
-    std::printf("assumption-mode:  vars=%-10llu clauses=%-10llu (incremental across "
-                "iterations)\n",
-                static_cast<unsigned long long>(m.cnf().num_aux_vars()),
-                static_cast<unsigned long long>(m.cnf().num_gate_clauses()));
+  // --- assumption-mode miter ------------------------------------------------------
+  std::printf("\n## miter encoding for State_Equivalence(S_all) at t\n");
+  sat::Solver solver;
+  encode::Miter m(solver, *soc.design, svt,
+                  encode::MiterOptions{.per_instance = soc::Soc::is_cpu_interface});
+  for (rtlir::StateVarId sv = 0; sv < svt.size(); ++sv) {
+    m.eq_assumption(sv);
+    m.diff_literal(sv, 1);
   }
-  {
-    sat::Solver solver;
-    encode::Miter m(solver, *soc.design, svt,
-                    encode::MiterOptions{.per_instance = soc::Soc::is_cpu_interface,
-                                         .shared_prefix = true});
-    std::vector<rtlir::StateVarId> all;
-    for (rtlir::StateVarId sv = 0; sv < svt.size(); ++sv) all.push_back(sv);
-    m.bind_shared_prefix(all);
-    for (rtlir::StateVarId sv = 0; sv < svt.size(); ++sv) m.diff_literal(sv, 1);
-    std::printf("shared-prefix:    vars=%-10llu clauses=%-10llu (re-encode per iteration)\n",
-                static_cast<unsigned long long>(m.cnf().num_aux_vars()),
-                static_cast<unsigned long long>(m.cnf().num_gate_clauses()));
-  }
+  std::printf("assumption-mode:  vars=%-10llu clauses=%-10llu (incremental across "
+              "iterations)\n",
+              static_cast<unsigned long long>(m.cnf().num_aux_vars()),
+              static_cast<unsigned long long>(m.cnf().num_gate_clauses()));
 }
 
 } // namespace

@@ -41,22 +41,6 @@ Lit Miter::exempt_lit(rtlir::StateVarId sv) {
   return l;
 }
 
-void Miter::bind_shared_prefix(const std::vector<rtlir::StateVarId>& S) {
-  assert(options_.shared_prefix);
-  for (rtlir::StateVarId sv : S) {
-    const Lit ex = exempt_lit(sv);
-    const Bits& av = a_.state_at(0, sv);
-    if (cnf_.is_false(ex)) {
-      b_.bind_state0(sv, av);
-    } else {
-      // Exempt variables (victim-range memory words) may differ: instance B
-      // sees fresh values whenever the exemption holds.
-      const Bits free = cnf_.fresh_vec(static_cast<unsigned>(av.size()));
-      b_.bind_state0(sv, cnf_.v_mux(ex, free, av));
-    }
-  }
-}
-
 Lit Miter::eq_assumption(rtlir::StateVarId sv) {
   auto it = eq_lits_.find(sv);
   if (it != eq_lits_.end()) return it->second;

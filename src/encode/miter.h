@@ -1,18 +1,11 @@
 // 2-safety miter: two unrolled instances of the design under verification
 // inside one CNF, as required by the UPEC computational model (Sec 3.2).
 //
-// Two encoding strategies are provided:
-//
-//  * Assumption mode (default, incremental): both instances get independent
-//    symbolic starting states; State_Equivalence(S) is expressed through
-//    per-state-variable activation literals passed as solver assumptions.
-//    Shrinking S across Alg. 1 / Alg. 2 iterations only changes the
-//    assumption set — clauses and learned clauses persist across iterations.
-//
-//  * Shared-prefix mode (ablation, see bench_solver): state variables
-//    assumed equal at t reuse the *same* CNF variables in both instances,
-//    yielding a much smaller formula at the cost of re-encoding whenever S
-//    changes.
+// Both instances get independent symbolic starting states;
+// State_Equivalence(S) is expressed through per-state-variable activation
+// literals passed as solver assumptions. Shrinking S across Alg. 1 / Alg. 2
+// iterations only changes the assumption set — clauses and learned clauses
+// persist across iterations.
 //
 // Primary inputs are shared between the instances by default (this *is*
 // Primary_Input_Constraints(), enforced with zero clauses); inputs named by
@@ -41,8 +34,6 @@ namespace upec::encode {
 struct MiterOptions {
   // Inputs whose image must be independent per instance (CPU interface).
   std::function<bool(const std::string& input_name)> per_instance;
-  // Shared-prefix encoding of frame-0 state (see above).
-  bool shared_prefix = false;
 };
 
 class Miter {
@@ -82,11 +73,6 @@ public:
   // eq_assumption/diff_literal call; defaults to "never exempt".
   void set_exempt(std::function<Lit(Miter&, rtlir::StateVarId)> fn) { exempt_fn_ = std::move(fn); }
   Lit exempt_lit(rtlir::StateVarId sv);
-
-  // Shared-prefix mode: bind frame-0 state of instance B to instance A for
-  // every variable in S (conditionally for exempt variables). Must run
-  // before any frame-0 image of instance B is encoded.
-  void bind_shared_prefix(const std::vector<rtlir::StateVarId>& S);
 
   // Activation literal for "sv equal at frame 0 (unless exempt)".
   Lit eq_assumption(rtlir::StateVarId sv);

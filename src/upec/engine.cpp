@@ -35,8 +35,7 @@ UpecContext::UpecContext(const soc::Soc& s, VerifyOptions opts)
       svt(*s.design),
       store(),
       miter(store, *s.design, svt,
-            encode::MiterOptions{.per_instance = soc::Soc::is_cpu_interface,
-                                 .shared_prefix = false}),
+            encode::MiterOptions{.per_instance = soc::Soc::is_cpu_interface}),
       macros(miter, s, options.macros),
       pers(svt, s),
       run_deadline(options.deadline_ms > 0

@@ -220,22 +220,6 @@ TEST(Miter, EqAssumptionForcesEquality) {
   EXPECT_FALSE(miter.differs_in_model(sv, 0));
 }
 
-TEST(Miter, SharedPrefixBindsInstanceB) {
-  Design d;
-  Builder b(d);
-  const NetId in = b.input("in", 8);
-  const RegHandle r = b.reg("r_q", 8);
-  b.connect(r, in);
-  rtlir::StateVarTable svt(d);
-
-  sat::Solver solver;
-  MiterOptions opts;
-  opts.shared_prefix = true;
-  Miter miter(solver, d, svt, opts);
-  miter.bind_shared_prefix({svt.of_register(r.index)});
-  EXPECT_EQ(miter.inst_a().reg_at(0, r.index), miter.inst_b().reg_at(0, r.index));
-}
-
 TEST(Coi, TwoCycleConeIsSmall) {
   // Chain of registers: a 2-cycle property on the head only reaches 2 stages.
   Design d;

@@ -92,8 +92,7 @@ TEST(StructuralEquality, HandBuiltDesignSplitsTheFiveCases) {
   sat::Solver solver;
   encode::Miter miter(solver, t.design, svt,
                       encode::MiterOptions{
-                          .per_instance = [](const std::string& name) { return name == "cpu"; },
-                          .shared_prefix = false});
+                          .per_instance = [](const std::string& name) { return name == "cpu"; }});
   // m[3] lies in a symbolic victim range: exempt whenever `victim` holds.
   const encode::Lit victim = miter.cnf().fresh();
   miter.set_exempt([&](encode::Miter& m, StateVarId sv) {
