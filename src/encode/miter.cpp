@@ -201,17 +201,38 @@ Lit Miter::structural_guard(rtlir::StateVarId sv, unsigned frame) {
   std::vector<Lit> clause;
   clause.reserve(support.state.size() + 1);
   for (rtlir::StateVarId u : support.state) clause.push_back(~structural_guard(u, frame - 1));
-  const Lit g = cnf_.fresh();
-  clause.push_back(g);
+  return new_guard(sv, frame, std::move(clause), cnf_.lit_false());
+}
+
+Lit Miter::equality_lemma(rtlir::StateVarId sv, unsigned frame, const std::vector<Lit>& core) {
+  assert(frame >= 1 && "frame 0 equality is an eq assumption, not a lemma");
+  std::vector<Lit> clause;
+  clause.reserve(core.size() + 1);
+  for (Lit c : core) clause.push_back(~c);
+  const auto it = guards_.find((static_cast<std::uint64_t>(frame) << 32) | sv);
+  if (it == guards_.end()) return new_guard(sv, frame, std::move(clause), exempt_lit(sv));
+  clause.push_back(it->second);
   cnf_.add_clause(clause);
+  return it->second;
+}
+
+Lit Miter::new_guard(rtlir::StateVarId sv, unsigned frame, std::vector<Lit> reason, Lit exempt) {
+  const Lit g = cnf_.fresh();
+  reason.push_back(g);
+  cnf_.add_clause(reason);
   const Bits& av = a_.state_at(frame, sv);
   const Bits& bv = b_.state_at(frame, sv);
   for (std::size_t i = 0; i < av.size(); ++i) {
     if (av[i] == bv[i]) continue; // one literal (a folded constant): nothing to imply
-    cnf_.add_clause({~g, ~av[i], bv[i]});
-    cnf_.add_clause({~g, av[i], ~bv[i]});
+    if (cnf_.is_false(exempt)) {
+      cnf_.add_clause({~g, ~av[i], bv[i]});
+      cnf_.add_clause({~g, av[i], ~bv[i]});
+    } else {
+      cnf_.add_clause({~g, exempt, ~av[i], bv[i]});
+      cnf_.add_clause({~g, exempt, av[i], ~bv[i]});
+    }
   }
-  guards_.emplace(key, g);
+  guards_.emplace((static_cast<std::uint64_t>(frame) << 32) | sv, g);
   return g;
 }
 

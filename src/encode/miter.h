@@ -18,6 +18,9 @@
 // that structure for the sweeps' pre-SAT pass: each state variable's
 // support (structural_support) and guarded equality lemmas
 // (structural_guard) that hand the solver what structure already proves.
+// Refutations from earlier frames enter the same guard table as lemmas of
+// their own (equality_lemma), so a later frame's solve and structural pass
+// start from what earlier frames proved.
 #pragma once
 
 #include <cassert>
@@ -141,8 +144,23 @@ public:
   // Tseitin and shared inputs have one image, so equal support state gives
   // equal next state, and setting each g to the conjunction of its support
   // guards extends every model. Answers never change; the solver only gets
-  // the equality without rediscovering it.
+  // the equality without rediscovering it. A (sv, frame) that already has a
+  // guard (an equality_lemma) returns it and emits nothing.
   Lit structural_guard(rtlir::StateVarId sv, unsigned frame);
+
+  // The lemma of a refutation F ∧ core ⊨ ¬diff(sv, frame) (a
+  // upec::FrontierPruner record, frame >= 1), on sv's guard g at `frame`:
+  //   (~c for every c in core) | g
+  //   g -> (a_i <-> b_i) for every bit i of state_at(frame, sv), or, if sv is
+  //     exemptible, g -> (exempt_lit(sv) | (a_i <-> b_i)).
+  // The guard is the one in structural_guard's table: a (sv, frame) that
+  // already has one (a structural guard, or an earlier core's lemma) gains
+  // only the core clause. The clauses are implied: diff(sv, frame) is
+  // "some bit differs and sv is not exempt", so each core entails the
+  // guarded equality, and setting g to the disjunction of its reasons
+  // extends every model. Exemptible words never enter the structural pass,
+  // so their weaker guard is never read as plain equality.
+  Lit equality_lemma(rtlir::StateVarId sv, unsigned frame, const std::vector<Lit>& core);
 
   // --- model inspection (valid after a SAT solve) ------------------------------
   // The default model source (the solver itself in the single-solver setup;
@@ -185,7 +203,12 @@ private:
   };
   std::unordered_map<unsigned, CandidateGroup> candidate_groups_;
 
+  // Creates sv's guard g at `frame`: emits (reason | g) and the guarded
+  // equality of every bit, weakened by `exempt` unless it is constant false.
+  Lit new_guard(rtlir::StateVarId sv, unsigned frame, std::vector<Lit> reason, Lit exempt);
+
   std::vector<StructuralSupport> supports_; // per state variable; empty until first use
+  // Structural guards and equality lemmas, one guard per (sv, frame).
   std::unordered_map<std::uint64_t, Lit> guards_; // (frame<<32)|sv
 };
 

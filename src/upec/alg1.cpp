@@ -48,6 +48,7 @@ Alg1Result run_alg1(UpecContext& ctx, const Alg1Options& options) {
     log.removed = out.s_cex;
     log.pruned = out.pruned;
     log.structural = out.structural;
+    log.lemmas = out.lemmas;
     log.timed_out = out.timed_out;
     result.total_seconds += out.seconds;
 

@@ -41,6 +41,9 @@ struct IterationLog {
   std::size_t pruned = 0;
   // Candidates refuted by structure alone this iteration, without a solve.
   std::size_t structural = 0;
+  // Refutations from earlier frames written into the store as equality
+  // lemmas when this iteration's sweep started (Alg. 2 only).
+  std::size_t lemmas = 0;
   // The iteration's Unknown status came from a wall-clock deadline hit
   // (VerifyOptions::deadline_ms) rather than conflict-budget exhaustion.
   bool timed_out = false;
@@ -59,8 +62,9 @@ struct Alg1Result {
   StateSet final_s;
   double total_seconds = 0.0;
   // Every counter behind the run: the scheduler's registry
-  // (CheckScheduler::metrics) plus `upec.sweep.pruned_candidates` and
-  // `upec.sweep.structural_candidates`. Names and merge conventions: README
+  // (CheckScheduler::metrics) plus `upec.sweep.pruned_candidates`,
+  // `upec.sweep.structural_candidates` and `upec.sweep.frame_lemmas`. Names
+  // and merge conventions: README
   // "Observability".
   util::MetricsSnapshot metrics;
   // Unknown verdict was (at least in part) a wall-clock deadline hit.

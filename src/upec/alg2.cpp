@@ -45,6 +45,7 @@ Alg2Result run_alg2(UpecContext& ctx, const Alg2Options& options) {
     step.iteration.removed = out.s_cex;
     step.iteration.pruned = out.pruned;
     step.iteration.structural = out.structural;
+    step.iteration.lemmas = out.lemmas;
     step.iteration.timed_out = out.timed_out;
     result.total_seconds += out.seconds;
 

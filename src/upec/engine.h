@@ -126,6 +126,9 @@ public:
   // Candidates the structural pass of sweep_frame refuted without a solve,
   // over every sweep (`upec.sweep.structural_candidates`).
   std::uint64_t structural_candidates = 0;
+  // Refutations from earlier frames that sweep_frame wrote into the store as
+  // equality lemmas, over every sweep (`upec.sweep.frame_lemmas`).
+  std::uint64_t frame_lemmas = 0;
   // Absolute deadline derived from options.deadline_ms at construction
   // (nullopt = unlimited); installed on every worker backend.
   std::optional<std::chrono::steady_clock::time_point> run_deadline;

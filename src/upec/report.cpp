@@ -55,11 +55,14 @@ void render_solver_usage(std::ostringstream& os, const util::MetricsSnapshot& m,
   }
   os << "\n";
   if (m.get("upec.sweep.pruned_candidates") != 0 ||
-      m.get("upec.sweep.structural_candidates") != 0) {
+      m.get("upec.sweep.structural_candidates") != 0 || m.get("upec.sweep.frame_lemmas") != 0) {
     os << "frontier pruning: " << m.get("upec.sweep.pruned_candidates")
        << " candidates pruned by cores, structural: "
-       << m.get("upec.sweep.structural_candidates") << " refuted without a solve, "
-       << m.get("upec.sweep.retained_learnts") << " learnts retained\n";
+       << m.get("upec.sweep.structural_candidates") << " refuted without a solve, ";
+    if (m.get("upec.sweep.frame_lemmas") != 0) {
+      os << "lemmas: " << m.get("upec.sweep.frame_lemmas") << " carried to later frames, ";
+    }
+    os << m.get("upec.sweep.retained_learnts") << " learnts retained\n";
   }
   const auto p = [&m](const char* leaf) { return m.get(std::string("sat.simplify.") + leaf); };
   if (p("runs") != 0) {

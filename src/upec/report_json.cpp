@@ -73,6 +73,8 @@ void write_iteration(util::JsonWriter& w, const UpecContext& ctx, const Iteratio
   w.value(log.pruned);
   w.key("structural");
   w.value(log.structural);
+  w.key("lemmas");
+  w.value(log.lemmas);
   w.key("removed");
   w.begin_array();
   for (rtlir::StateVarId sv : log.removed) w.value(ctx.svt.name(sv));

@@ -59,6 +59,10 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assum
   std::unordered_set<rtlir::StateVarId> eq_assumed;
   std::unordered_set<std::int32_t> assumption_lits;
   if (saturate) {
+    // Earlier frames' refutations go into the store before anything of this
+    // sweep does, so they share the store growth of this frame's encoding.
+    out.lemmas = emit_frame_lemmas(ctx.miter, ctx.pruner, frame);
+    ctx.frame_lemmas += out.lemmas;
     rtlir::StateVarId sv = 0;
     for (encode::Lit a : assumptions) {
       assumption_lits.insert(a.index());
@@ -77,7 +81,8 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assum
     // but swept later then finds itself registered, and the store does not
     // grow (and force a new preprocessing run) late in the run.
     ctx.miter.register_candidates(members, frame);
-    out.unsat_groups = refute_structurally(ctx.miter, eq_assumed, members, frame);
+    out.unsat_groups =
+        refute_structurally(ctx.miter, ctx.pruner, eq_assumed, assumption_lits, members, frame);
     out.structural = out.unsat_groups.size();
     ctx.structural_candidates += out.structural;
   }
@@ -125,36 +130,77 @@ SweepOutcome sweep_frame(UpecContext& ctx, const std::vector<encode::Lit>& assum
   return out;
 }
 
+std::size_t emit_frame_lemmas(encode::Miter& miter, FrontierPruner& pruner, unsigned frame) {
+  const std::vector<FrontierPruner::Record> records = pruner.take_unemitted(frame);
+  if (records.empty()) return 0;
+  util::trace::Span span("upec.frame_lemmas", "upec");
+  span.arg("frame", std::uint64_t{frame});
+  span.arg("lemmas", static_cast<std::uint64_t>(records.size()));
+  std::vector<sat::Lit> core;
+  for (const FrontierPruner::Record& r : records) {
+    core.clear();
+    for (rtlir::StateVarId u : r.just->eq_svs) core.push_back(miter.eq_assumption(u));
+    core.insert(core.end(), r.just->other_lits.begin(), r.just->other_lits.end());
+    miter.equality_lemma(r.sv, r.frame, core);
+  }
+  return records.size();
+}
+
 std::vector<ipc::SweepResult::UnsatGroup> refute_structurally(
-    encode::Miter& miter, const std::unordered_set<rtlir::StateVarId>& eq_assumed,
+    encode::Miter& miter, const FrontierPruner& pruner,
+    const std::unordered_set<rtlir::StateVarId>& eq_assumed,
+    const std::unordered_set<std::int32_t>& assumption_lits,
     std::vector<rtlir::StateVarId>& members, unsigned frame) {
   util::trace::Span span("upec.structural", "upec");
   span.arg("frame", std::uint64_t{frame});
+  // How (u, j) is known equal: not at all, through its cone (or, at j = 0,
+  // by assumption), or by an earlier frame's entailed record.
+  enum Reason : char { kNone, kCone, kRecord };
   const std::size_t n = miter.state_vars().size();
-  std::vector<char> equal(n, 0);
-  for (rtlir::StateVarId u : eq_assumed) equal[u] = miter.cnf().is_false(miter.exempt_lit(u));
+  std::vector<std::vector<char>> reason(frame + 1, std::vector<char>(n, kNone));
+  for (rtlir::StateVarId u : eq_assumed) {
+    if (miter.cnf().is_false(miter.exempt_lit(u))) reason[0][u] = kCone;
+  }
+  const auto by_record = [&](unsigned j, rtlir::StateVarId u) {
+    // A record exists only for a swept candidate, whose exemption literal is
+    // already encoded: the check adds nothing to the store.
+    return pruner.entailed(j, u, eq_assumed, assumption_lits) != nullptr &&
+           miter.cnf().is_false(miter.exempt_lit(u));
+  };
   for (unsigned j = 1; j <= frame; ++j) {
-    std::vector<char> next(n, 0);
+    const std::vector<char>& below = reason[j - 1];
     for (rtlir::StateVarId sv = 0; sv < n; ++sv) {
       const encode::Miter::StructuralSupport& support = miter.structural_support(sv);
-      next[sv] = !support.per_instance_input &&
-                 std::all_of(support.state.begin(), support.state.end(),
-                             [&equal](rtlir::StateVarId u) { return equal[u] != 0; });
+      if (!support.per_instance_input &&
+          std::all_of(support.state.begin(), support.state.end(),
+                      [&below](rtlir::StateVarId u) { return below[u] != kNone; })) {
+        reason[j][sv] = kCone;
+      } else if (j < frame && by_record(j, sv)) {
+        reason[j][sv] = kRecord;
+      }
     }
-    equal = std::move(next);
   }
 
   std::vector<ipc::SweepResult::UnsatGroup> groups;
   std::vector<rtlir::StateVarId> rest;
   for (rtlir::StateVarId sv : members) {
-    if (!equal[sv]) {
+    if (reason[frame][sv] == kNone) {
       rest.push_back(sv);
       continue;
     }
+    std::vector<rtlir::StateVarId> eq_svs;
+    std::vector<sat::Lit> other_lits;
     std::vector<rtlir::StateVarId> leaves = {sv};
     for (unsigned j = frame; j > 0; --j) {
       std::vector<rtlir::StateVarId> below;
       for (rtlir::StateVarId u : leaves) {
+        if (reason[j][u] == kRecord) {
+          const FrontierPruner::Justification* just =
+              pruner.entailed(j, u, eq_assumed, assumption_lits);
+          eq_svs.insert(eq_svs.end(), just->eq_svs.begin(), just->eq_svs.end());
+          other_lits.insert(other_lits.end(), just->other_lits.begin(), just->other_lits.end());
+          continue;
+        }
         const std::vector<rtlir::StateVarId>& state = miter.structural_support(u).state;
         below.insert(below.end(), state.begin(), state.end());
       }
@@ -162,9 +208,16 @@ std::vector<ipc::SweepResult::UnsatGroup> refute_structurally(
       below.erase(std::unique(below.begin(), below.end()), below.end());
       leaves = std::move(below);
     }
+    eq_svs.insert(eq_svs.end(), leaves.begin(), leaves.end());
+    std::sort(eq_svs.begin(), eq_svs.end());
+    eq_svs.erase(std::unique(eq_svs.begin(), eq_svs.end()), eq_svs.end());
+    std::sort(other_lits.begin(), other_lits.end(),
+              [](sat::Lit a, sat::Lit b) { return a.index() < b.index(); });
+    other_lits.erase(std::unique(other_lits.begin(), other_lits.end()), other_lits.end());
     std::vector<sat::Lit> core;
-    core.reserve(leaves.size());
-    for (rtlir::StateVarId u : leaves) core.push_back(miter.eq_assumption(u));
+    core.reserve(eq_svs.size() + other_lits.size());
+    for (rtlir::StateVarId u : eq_svs) core.push_back(miter.eq_assumption(u));
+    core.insert(core.end(), other_lits.begin(), other_lits.end());
     miter.structural_guard(sv, frame);
     groups.push_back(ipc::SweepResult::UnsatGroup{{sv}, std::move(core)});
   }
@@ -198,6 +251,7 @@ util::MetricsSnapshot collect_metrics(const UpecContext& ctx) {
   util::MetricsSnapshot m = ctx.scheduler.metrics();
   m.add_counter("upec.sweep.pruned_candidates", ctx.pruner.total_pruned());
   m.add_counter("upec.sweep.structural_candidates", ctx.structural_candidates);
+  m.add_counter("upec.sweep.frame_lemmas", ctx.frame_lemmas);
   return m;
 }
 

@@ -336,13 +336,13 @@ TEST(UsageBlock, SingleWorkerAlg2CountermeasureIsPinned) {
   ASSERT_EQ(r.verdict, Verdict::Secure);
   ASSERT_EQ(r.final_k, 3u);
   EXPECT_EQ(solver_usage_block(render_report(ctx, r)),
-            "solver usage (1 worker): 294 solves, 53307 conflicts, 906290 decisions, "
-            "54518581 propagations\n"
-            "frontier pruning: 341 candidates pruned by cores, structural: 61 refuted without a "
-            "solve, 15926 learnts retained\n"
-            "  worker 0: 294 solves, 53307 conflicts, 906290 decisions, 54518581 propagations, "
-            "53185 learned\n");
-  EXPECT_EQ(r.metrics.get("sat.solver.total.restarts"), 329u);
+            "solver usage (1 worker): 186 solves, 23008 conflicts, 475289 decisions, "
+            "17166870 propagations\n"
+            "frontier pruning: 341 candidates pruned by cores, structural: 169 refuted without a "
+            "solve, lemmas: 230 carried to later frames, 9778 learnts retained\n"
+            "  worker 0: 186 solves, 23008 conflicts, 475289 decisions, 17166870 propagations, "
+            "22905 learned\n");
+  EXPECT_EQ(r.metrics.get("sat.solver.total.restarts"), 139u);
 }
 
 // ---------------------------------------------------------------------------
@@ -542,6 +542,55 @@ TEST(JsonReport, Alg2ReportParsesBack) {
   const util::JsonValue* induction = v.find("induction");
   ASSERT_NE(induction, nullptr);
   EXPECT_EQ(induction->is_null(), !r.induction.has_value());
+}
+
+TEST(JsonReport, FrameLemmasAreCountedOnlyWhereALaterFrameReadsThem) {
+  // Alg. 1 sweeps frame 1 only: no lemma is ever emitted.
+  {
+    soc::SocConfig cfg;
+    cfg.pub_ram_words = 4;
+    cfg.priv_ram_words = 2;
+    const soc::Soc soc = soc::build_pulpissimo(cfg);
+    UpecContext ctx(soc);
+    Alg1Options opts;
+    opts.extract_waveform = false;
+    const Alg1Result r = run_alg1(ctx, opts);
+    ASSERT_EQ(r.verdict, Verdict::Vulnerable);
+    EXPECT_TRUE(r.metrics.has("upec.sweep.frame_lemmas"));
+    EXPECT_EQ(r.metrics.get("upec.sweep.frame_lemmas"), 0u);
+  }
+  // Alg. 2 emits each frame's refutations once, at the first sweep of the
+  // next step; the JSON iterations carry the per-sweep counts.
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 2;
+  cfg.priv_ram_words = 2;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  UpecContext ctx(soc, countermeasure_options());
+  Alg2Options alg;
+  alg.extract_waveform = false;
+  alg.run_closing_induction = false;
+  const Alg2Result r = run_alg2(ctx, alg);
+  ASSERT_EQ(r.final_k, 3u);
+  const std::uint64_t lemmas = r.metrics.get("upec.sweep.frame_lemmas");
+  EXPECT_GT(lemmas, 0u);
+  util::JsonValue v;
+  ASSERT_TRUE(util::parse_json(render_json(ctx, r), v));
+  const util::JsonValue* iterations = v.find("iterations");
+  ASSERT_NE(iterations, nullptr);
+  ASSERT_EQ(iterations->array.size(), r.steps.size());
+  double sum = 0;
+  unsigned prev_k = 0;
+  for (std::size_t i = 0; i < r.steps.size(); ++i) {
+    const double n = iterations->array[i].number_or("lemmas", -1);
+    EXPECT_EQ(n, static_cast<double>(r.steps[i].iteration.lemmas));
+    // Only a step's first sweep past frame 1 emits.
+    if (r.steps[i].k == prev_k || r.steps[i].k == 1) EXPECT_EQ(n, 0.0) << "iteration " << i;
+    prev_k = r.steps[i].k;
+    sum += n;
+  }
+  EXPECT_EQ(sum, static_cast<double>(lemmas));
+  EXPECT_EQ(v.find("metrics")->number_or("upec.sweep.frame_lemmas", -1),
+            static_cast<double>(lemmas));
 }
 
 TEST(JsonReport, ConfigHashIgnoresObservabilityAndTracksConfig) {

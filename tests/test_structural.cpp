@@ -5,14 +5,22 @@
 // lemmas. These tests pin the rule on a hand-built design, check every
 // refutation and every lemma bit against a second context that emits no
 // lemmas, and check that two contexts in one process emit one clause stream.
+//
+// FrameLemmas: Alg. 2's refutations at earlier frames, written into the
+// store as guarded lemmas (upec::emit_frame_lemmas, Miter::equality_lemma)
+// and read by the structural pass at later frames. The same three checks:
+// a hand-built design, an oracle for every lemma bit and every refutation
+// that rests on a lemma, and one clause stream per context.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "ipc/scheduler.h"
 #include "rtlir/builder.h"
 #include "upec/engine.h"
 #include "upec/sweep.h"
@@ -126,7 +134,7 @@ TEST(StructuralEquality, HandBuiltDesignSplitsTheFiveCases) {
   std::vector<StateVarId> members = {t.shared_q, t.cpu_q,  t.mem_q, t.outside_q,
                                      t.c1_q,     t.c2_q,   t.lag_q};
   const std::uint64_t solves_before = solver.stats().solve_calls;
-  const Groups g1 = refute_structurally(miter, eq_set, members, 1);
+  const Groups g1 = refute_structurally(miter, FrontierPruner{}, eq_set, {}, members, 1);
   EXPECT_EQ(solver.stats().solve_calls, solves_before);
   EXPECT_EQ(refuted_of(g1), (std::vector<StateVarId>{t.shared_q, t.c1_q, t.c2_q, t.lag_q}));
   // The per-instance input, the exemptible word and the state outside S go
@@ -142,7 +150,7 @@ TEST(StructuralEquality, HandBuiltDesignSplitsTheFiveCases) {
   // Frame 2: the chain c2 <- c1 <- shared_q stays equal; lag_q now reads
   // cpu_q's frame-1 value, which the per-instance input reached.
   members = {t.c2_q, t.lag_q};
-  const Groups g2 = refute_structurally(miter, eq_set, members, 2);
+  const Groups g2 = refute_structurally(miter, FrontierPruner{}, eq_set, {}, members, 2);
   EXPECT_EQ(refuted_of(g2), std::vector<StateVarId>{t.c2_q});
   EXPECT_EQ(g2[0].core,
             (std::vector<encode::Lit>{miter.eq_assumption(t.shared_q), miter.eq_assumption(t.c1_q),
@@ -163,7 +171,7 @@ TEST(StructuralEquality, HandBuiltDesignSplitsTheFiveCases) {
   // Guards are encoded once: a repeated pass adds no variable.
   const int vars = solver.num_vars();
   members = {t.shared_q, t.c1_q, t.c2_q, t.lag_q};
-  EXPECT_EQ(refute_structurally(miter, eq_set, members, 1).size(), 4u);
+  EXPECT_EQ(refute_structurally(miter, FrontierPruner{}, eq_set, {}, members, 1).size(), 4u);
   EXPECT_EQ(solver.num_vars(), vars);
 }
 
@@ -207,7 +215,8 @@ std::vector<std::size_t> check_against_oracle(UpecContext& ctx, UpecContext& ora
   std::set<std::pair<unsigned, StateVarId>> guards;
   for (unsigned frame = 1; frame <= max_frame; ++frame) {
     std::vector<StateVarId> members = s;
-    const Groups groups = refute_structurally(ctx.miter, eq_set, members, frame);
+    const Groups groups =
+        refute_structurally(ctx.miter, FrontierPruner{}, eq_set, {}, members, frame);
     refuted.push_back(groups.size());
     for (const auto& g : groups) {
       const StateVarId sv = g.enabled.front();
@@ -305,6 +314,286 @@ TEST(StructuralEquality, TwoContextsEmitTheSameClauseStream) {
   EXPECT_GT(a.metrics.get("upec.sweep.structural_candidates"), 0u);
   EXPECT_EQ(b.metrics.get("upec.sweep.structural_candidates"),
             a.metrics.get("upec.sweep.structural_candidates"));
+  EXPECT_EQ(second.store.num_clauses(), first.store.num_clauses());
+  EXPECT_TRUE(clause_stream(second.store) == clause_stream(first.store));
+}
+
+// ------------------------------------------------------------ frame lemmas
+
+// Four registers over a per-instance input:
+//   base_q   <- base_q              support in S
+//   sem_q    <- (base_q + cpu) - cpu equal by arithmetic, not by structure
+//   follow_q <- sem_q
+//   lag_q    <- sem_q + cpu          reads the per-instance input
+TEST(FrameLemmas, HandBuiltRefutationCarriesToTheNextFrame) {
+  rtlir::Design design;
+  rtlir::Builder b(design);
+  const rtlir::NetId cpu = b.input("cpu", 8);
+  const rtlir::RegHandle base_q = b.reg("base_q", 8);
+  const rtlir::RegHandle sem_q = b.reg("sem_q", 8);
+  const rtlir::RegHandle follow_q = b.reg("follow_q", 8);
+  const rtlir::RegHandle lag_q = b.reg("lag_q", 8);
+  b.connect(base_q, base_q.q);
+  b.connect(sem_q, b.sub(b.add(base_q.q, cpu), cpu));
+  b.connect(follow_q, sem_q.q);
+  b.connect(lag_q, b.add(sem_q.q, cpu));
+  ASSERT_EQ(design.validate(), "");
+  const rtlir::StateVarTable svt(design);
+  const StateVarId base = svt.of_register(base_q.index);
+  const StateVarId sem = svt.of_register(sem_q.index);
+  const StateVarId follow = svt.of_register(follow_q.index);
+  const StateVarId lag = svt.of_register(lag_q.index);
+
+  sat::CnfStore store;
+  encode::Miter miter(store, design, svt,
+                      encode::MiterOptions{
+                          .per_instance = [](const std::string& name) { return name == "cpu"; }});
+  ipc::CheckScheduler scheduler(store, ipc::SchedulerOptions{});
+  miter.set_model_source(&scheduler.backend(0));
+  std::unordered_set<StateVarId> eq_set;
+  std::vector<encode::Lit> assumptions;
+  std::unordered_set<std::int32_t> lits;
+  for (StateVarId sv = 0; sv < svt.size(); ++sv) {
+    eq_set.insert(sv);
+    assumptions.push_back(miter.eq_assumption(sv));
+    lits.insert(assumptions.back().index());
+  }
+  const auto holds = [&](std::vector<encode::Lit> as, StateVarId sv, unsigned frame) {
+    as.push_back(miter.diff_literal(sv, frame));
+    return scheduler.check(as).status == ipc::CheckStatus::Holds;
+  };
+
+  // Frame 1: sem_q's cone reads the per-instance input, so structure leaves
+  // it to SAT, which refutes it; its core becomes a record. Nothing to emit.
+  FrontierPruner pruner;
+  EXPECT_EQ(emit_frame_lemmas(miter, pruner, 1), 0u);
+  std::vector<StateVarId> members = {sem, follow};
+  miter.register_candidates(members, 1);
+  EXPECT_EQ(refuted_of(refute_structurally(miter, pruner, eq_set, lits, members, 1)),
+            std::vector<StateVarId>{follow});
+  ASSERT_EQ(members, std::vector<StateVarId>{sem});
+  std::vector<encode::Lit> as = assumptions;
+  as.push_back(miter.diff_literal(sem, 1));
+  std::vector<encode::Lit> core;
+  ASSERT_EQ(scheduler.check(as, &core).status, ipc::CheckStatus::Holds);
+  FrontierPruner::Justification just;
+  for (encode::Lit l : core) {
+    StateVarId u = 0;
+    if (miter.eq_assumption_var(l, &u)) just.eq_svs.push_back(u);
+  }
+  EXPECT_NE(std::find(just.eq_svs.begin(), just.eq_svs.end(), base), just.eq_svs.end());
+  pruner.record(1, {sem}, just);
+
+  // Frame 2: without the record, follow_q (which reads sem_q) goes to SAT.
+  std::vector<StateVarId> alone = {follow, lag};
+  EXPECT_TRUE(refute_structurally(miter, FrontierPruner{}, eq_set, lits, alone, 2).empty());
+  // The record becomes one lemma: its core clause and two clauses per bit.
+  std::size_t clauses = store.num_clauses();
+  EXPECT_EQ(emit_frame_lemmas(miter, pruner, 2), 1u);
+  EXPECT_EQ(store.num_clauses(), clauses + 1 + 2 * 8);
+  EXPECT_EQ(emit_frame_lemmas(miter, pruner, 2), 0u); // handed out once
+  // A second core for the same (sv, frame) adds its core clause only.
+  pruner.record(1, {sem}, just);
+  clauses = store.num_clauses();
+  const int vars = store.num_vars();
+  EXPECT_EQ(emit_frame_lemmas(miter, pruner, 2), 1u);
+  EXPECT_EQ(store.num_clauses(), clauses + 1);
+  EXPECT_EQ(store.num_vars(), vars);
+
+  // The structural pass now refutes follow_q at frame 2 through the lemma;
+  // lag_q still reads the per-instance input.
+  members = {follow, lag};
+  miter.register_candidates(members, 2);
+  const Groups g2 = refute_structurally(miter, pruner, eq_set, lits, members, 2);
+  ASSERT_EQ(refuted_of(g2), std::vector<StateVarId>{follow});
+  EXPECT_EQ(members, std::vector<StateVarId>{lag});
+  // Its core: follow_q's own frame-0 leaves (follow_q at 1 reads sem_q and
+  // follow_q) and the record's core.
+  std::set<StateVarId> expected(just.eq_svs.begin(), just.eq_svs.end());
+  expected.insert({sem, follow});
+  std::vector<encode::Lit> expected_core;
+  for (StateVarId u : expected) expected_core.push_back(miter.eq_assumption(u));
+  EXPECT_EQ(g2[0].core, expected_core);
+  EXPECT_TRUE(holds(g2[0].core, follow, 2));
+  EXPECT_FALSE(holds(assumptions, lag, 2));
+
+  // A record the assumptions do not entail is not read.
+  std::unordered_set<StateVarId> without_base = eq_set;
+  without_base.erase(base);
+  members = {follow};
+  EXPECT_TRUE(refute_structurally(miter, pruner, without_base, lits, members, 2).empty());
+}
+
+// Maps literals of `ctx`'s store to the same literals of `oracle`'s: eq
+// assumptions by state variable, macro assumptions of windows 1..max_k by
+// position (both contexts encode them in the same order).
+class OracleLits {
+public:
+  OracleLits(UpecContext& ctx, UpecContext& oracle, unsigned max_k) : ctx_(ctx), oracle_(oracle) {
+    for (unsigned k = 1; k <= max_k; ++k) {
+      const std::vector<encode::Lit> a = ctx.macros.assumptions(k);
+      const std::vector<encode::Lit> b = oracle.macros.assumptions(k);
+      EXPECT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) macros_[a[i].index()] = b[i];
+    }
+  }
+
+  encode::Lit operator()(encode::Lit l) const {
+    StateVarId sv = 0;
+    if (ctx_.miter.eq_assumption_var(l, &sv)) return oracle_.miter.eq_assumption(sv);
+    const auto it = macros_.find(l.index());
+    EXPECT_NE(it, macros_.end()) << "literal " << l.index() << " is no assumption";
+    return it == macros_.end() ? oracle_.miter.cnf().lit_true() : it->second;
+  }
+
+private:
+  UpecContext& ctx_;
+  UpecContext& oracle_;
+  std::map<std::int32_t, encode::Lit> macros_;
+};
+
+// Alg. 2's unrolled steps k = 1..max_k on `ctx`, swept as run_alg2 sweeps
+// them (S_k starts as S_{k-1} and shrinks until its sweep holds). Returns
+// each step's assumptions and every structural refutation per frame.
+struct Steps {
+  std::vector<std::vector<encode::Lit>> assumptions; // [k]
+  std::vector<Groups> structural;                    // [k]
+};
+
+Steps run_steps(UpecContext& ctx, unsigned max_k) {
+  Steps steps;
+  steps.assumptions.resize(max_k + 1);
+  steps.structural.resize(max_k + 1);
+  StateSet s = s_not_victim(ctx.svt);
+  const std::vector<StateVarId> s0 = s.to_vector();
+  for (unsigned k = 1; k <= max_k; ++k) {
+    std::vector<encode::Lit>& as = steps.assumptions[k];
+    as = ctx.macros.assumptions(k);
+    for (StateVarId sv : s0) as.push_back(ctx.miter.eq_assumption(sv));
+    for (;;) {
+      const SweepOutcome out = sweep_frame(ctx, as, s, k, true);
+      EXPECT_NE(out.status, ipc::CheckStatus::Unknown);
+      // Only the first sweep of a step emits, and only from frame 2 on.
+      if (out.lemmas != 0) EXPECT_TRUE(k >= 2 && steps.structural[k].empty());
+      steps.structural[k].insert(steps.structural[k].end(), out.unsat_groups.begin(),
+                                 out.unsat_groups.begin() + out.structural);
+      if (out.s_cex.empty() || out.status == ipc::CheckStatus::Unknown) break;
+      s.remove_all(out.s_cex);
+    }
+  }
+  return steps;
+}
+
+// The candidates structure alone puts in E_frame (no lemma), as
+// refute_structurally's rule defines it.
+std::vector<char> cone_equal(encode::Miter& miter, const std::unordered_set<StateVarId>& eq_set,
+                             unsigned frame) {
+  const std::size_t n = miter.state_vars().size();
+  std::vector<char> equal(n, 0);
+  for (StateVarId u : eq_set) equal[u] = miter.cnf().is_false(miter.exempt_lit(u));
+  for (unsigned j = 1; j <= frame; ++j) {
+    std::vector<char> next(n, 0);
+    for (StateVarId sv = 0; sv < n; ++sv) {
+      const auto& support = miter.structural_support(sv);
+      next[sv] = !support.per_instance_input &&
+                 std::all_of(support.state.begin(), support.state.end(),
+                             [&equal](StateVarId u) { return equal[u] != 0; });
+    }
+    equal = std::move(next);
+  }
+  return equal;
+}
+
+TEST(FrameLemmas, OracleProvesEveryLemmaAndEveryRefutationThroughOne) {
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 2;
+  cfg.priv_ram_words = 2;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  UpecContext ctx(soc, countermeasure_options());
+  UpecContext oracle(soc, countermeasure_options());
+  constexpr unsigned kMaxK = 3;
+  const Steps steps = run_steps(ctx, kMaxK);
+  EXPECT_GT(ctx.frame_lemmas, 0u);
+  const OracleLits to_oracle(ctx, oracle, kMaxK);
+  const std::vector<StateVarId> s0 = s_not_victim(ctx.svt).to_vector();
+  const std::unordered_set<StateVarId> eq_set(s0.begin(), s0.end());
+
+  // Every lemma the sweeps at frames 1..3 emitted, one per record of frames
+  // 1 and 2 (frame 3's records wait for a fourth step): its core, with a
+  // word's exemption assumed false, leaves no bit of the state variable
+  // free to differ. The oracle proves each bit without any lemma.
+  std::size_t records = 0, word_records = 0, bits = 0;
+  for (unsigned j = 1; j < kMaxK; ++j) {
+    std::unordered_set<std::int32_t> lits;
+    for (encode::Lit l : steps.assumptions[j]) lits.insert(l.index());
+    for (StateVarId sv = 0; sv < ctx.svt.size(); ++sv) {
+      const FrontierPruner::Justification* just = ctx.pruner.entailed(j, sv, eq_set, lits);
+      if (just == nullptr) continue;
+      ++records;
+      std::vector<encode::Lit> as;
+      for (StateVarId u : just->eq_svs) as.push_back(oracle.miter.eq_assumption(u));
+      for (encode::Lit l : just->other_lits) as.push_back(to_oracle(l));
+      const encode::Lit ex = oracle.miter.exempt_lit(sv);
+      if (!oracle.miter.cnf().is_false(ex)) {
+        ++word_records;
+        as.push_back(~ex);
+      }
+      const encode::Bits a = oracle.miter.inst_a().state_at(j, sv);
+      const encode::Bits b = oracle.miter.inst_b().state_at(j, sv);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        if (a[i] == b[i]) continue;
+        ++bits;
+        std::vector<encode::Lit> q = as;
+        q.push_back(oracle.miter.cnf().xor2(a[i], b[i]));
+        EXPECT_EQ(oracle.scheduler.check(q).status, ipc::CheckStatus::Holds)
+            << ctx.svt.name(sv) << " bit " << i << " at frame " << j;
+      }
+    }
+  }
+  EXPECT_EQ(records, ctx.frame_lemmas);
+  EXPECT_GT(word_records, 0u); // the exempt form is exercised
+  EXPECT_GT(bits, records);
+
+  // Every structural refutation at frames 2 and 3 that structure alone does
+  // not give rests on a lemma: its core refutes it in the oracle.
+  std::size_t through_lemmas = 0;
+  for (unsigned k = 2; k <= kMaxK; ++k) {
+    const std::vector<char> by_cone = cone_equal(ctx.miter, eq_set, k);
+    for (const auto& g : steps.structural[k]) {
+      const StateVarId sv = g.enabled.front();
+      if (by_cone[sv]) continue;
+      ++through_lemmas;
+      std::vector<encode::Lit> as;
+      for (encode::Lit l : g.core) as.push_back(to_oracle(l));
+      as.push_back(oracle.miter.diff_literal(sv, k));
+      EXPECT_EQ(oracle.scheduler.check(as).status, ipc::CheckStatus::Holds)
+          << ctx.svt.name(sv) << " at frame " << k;
+    }
+  }
+  EXPECT_GT(through_lemmas, 0u);
+}
+
+TEST(FrameLemmas, TwoContextsEmitTheSameClauseStream) {
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 2;
+  cfg.priv_ram_words = 2;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  Alg2Options opts;
+  opts.extract_waveform = false;
+  opts.run_closing_induction = false;
+  opts.max_k = 3; // lemmas of frames 1 and 2, emitted at steps 2 and 3
+  UpecContext first(soc, countermeasure_options());
+  const Alg2Result a = run_alg2(first, opts);
+  UpecContext second(soc, countermeasure_options());
+  const Alg2Result b = run_alg2(second, opts);
+  ASSERT_EQ(a.final_k, 3u);
+  EXPECT_EQ(b.verdict, a.verdict);
+  EXPECT_GT(a.metrics.get("upec.sweep.frame_lemmas"), 0u);
+  EXPECT_EQ(b.metrics.get("upec.sweep.frame_lemmas"), a.metrics.get("upec.sweep.frame_lemmas"));
+  ASSERT_EQ(b.steps.size(), a.steps.size());
+  for (std::size_t i = 0; i < a.steps.size(); ++i) {
+    EXPECT_EQ(b.steps[i].iteration.lemmas, a.steps[i].iteration.lemmas);
+  }
   EXPECT_EQ(second.store.num_clauses(), first.store.num_clauses());
   EXPECT_TRUE(clause_stream(second.store) == clause_stream(first.store));
 }
