@@ -48,7 +48,8 @@ void FrontierPruner::filter(unsigned frame, const std::vector<rtlir::StateVarId>
 std::vector<FrontierPruner::Record> FrontierPruner::take_unemitted(unsigned frame) {
   const auto taken = std::stable_partition(unemitted_.begin(), unemitted_.end(),
                                            [frame](const Record& r) { return r.frame >= frame; });
-  std::vector<Record> out(std::make_move_iterator(taken), std::make_move_iterator(unemitted_.end()));
+  std::vector<Record> out(std::make_move_iterator(taken),
+                          std::make_move_iterator(unemitted_.end()));
   unemitted_.erase(taken, unemitted_.end());
   return out;
 }

@@ -584,7 +584,7 @@ TEST(JsonReport, FrameLemmasAreCountedOnlyWhereALaterFrameReadsThem) {
     const double n = iterations->array[i].number_or("lemmas", -1);
     EXPECT_EQ(n, static_cast<double>(r.steps[i].iteration.lemmas));
     // Only a step's first sweep past frame 1 emits.
-    if (r.steps[i].k == prev_k || r.steps[i].k == 1) EXPECT_EQ(n, 0.0) << "iteration " << i;
+    EXPECT_EQ(n != 0.0, r.steps[i].k != prev_k && r.steps[i].k != 1) << "iteration " << i;
     prev_k = r.steps[i].k;
     sum += n;
   }

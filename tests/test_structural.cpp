@@ -424,6 +424,95 @@ TEST(FrameLemmas, HandBuiltRefutationCarriesToTheNextFrame) {
   EXPECT_TRUE(refute_structurally(miter, pruner, without_base, lits, members, 2).empty());
 }
 
+// A one-word memory (no write port) in a symbolic victim range, a register
+// that reads it when a shared input selects it, and a copy of that
+// register:
+//   m[0]    holds                    exempt whenever `victim` holds
+//   read_q  <- sel ? m[0] : 0
+//   copy_q  <- read_q
+// An extra assumption `quiet` (standing in for a macro) deselects m[0] at
+// frame 0, so read_q is equal at frame 1 by SAT but not by structure.
+TEST(FrameLemmas, ExemptibleWordLemmaIsNeverReadAsEquality) {
+  rtlir::Design design;
+  rtlir::Builder b(design);
+  const rtlir::NetId sel = b.input("sel", 1);
+  const rtlir::MemHandle m = b.memory("m", 1, 8);
+  const rtlir::RegHandle read_q = b.reg("read_q", 8);
+  const rtlir::RegHandle copy_q = b.reg("copy_q", 8);
+  b.connect(read_q, b.mux(sel, b.mem_read(m, b.zero(1)), b.zero(8)));
+  b.connect(copy_q, read_q.q);
+  ASSERT_EQ(design.validate(), "");
+  const rtlir::StateVarTable svt(design);
+  const StateVarId word = svt.of_mem_word(m.index, 0);
+  const StateVarId read = svt.of_register(read_q.index);
+  const StateVarId copy = svt.of_register(copy_q.index);
+
+  sat::CnfStore store;
+  encode::Miter miter(store, design, svt, encode::MiterOptions{});
+  const encode::Lit victim = miter.cnf().fresh();
+  miter.set_exempt([&](encode::Miter& mi, StateVarId sv) {
+    return sv == word ? victim : mi.cnf().lit_false();
+  });
+  ipc::CheckScheduler scheduler(store, ipc::SchedulerOptions{});
+  miter.set_model_source(&scheduler.backend(0));
+  const encode::Lit quiet = miter.cnf().fresh();
+  miter.cnf().add_clause({~quiet, ~miter.inst_a().input_at(0, 0)[0]});
+  const std::unordered_set<StateVarId> eq_set = {word, read, copy};
+  std::vector<encode::Lit> assumptions = {quiet};
+  for (StateVarId sv : eq_set) assumptions.push_back(miter.eq_assumption(sv));
+  std::unordered_set<std::int32_t> lits;
+  for (encode::Lit l : assumptions) lits.insert(l.index());
+  const auto refute_by_sat = [&](StateVarId sv, unsigned frame) {
+    std::vector<encode::Lit> as = assumptions;
+    as.push_back(miter.diff_literal(sv, frame));
+    std::vector<encode::Lit> core;
+    EXPECT_EQ(scheduler.check(as, &core).status, ipc::CheckStatus::Holds);
+    FrontierPruner::Justification just;
+    for (encode::Lit l : core) {
+      StateVarId u = 0;
+      if (miter.eq_assumption_var(l, &u)) {
+        just.eq_svs.push_back(u);
+      } else if (lits.count(l.index()) != 0) {
+        just.other_lits.push_back(l);
+      }
+    }
+    return just;
+  };
+
+  // Frame 1: structure refutes only copy_q; SAT refutes the word (it can
+  // differ only while exempt, which diff rules out) and read_q (`quiet`
+  // keeps it at 0).
+  std::vector<StateVarId> members = {word, read, copy};
+  miter.register_candidates(members, 1);
+  FrontierPruner pruner;
+  EXPECT_EQ(refuted_of(refute_structurally(miter, pruner, eq_set, lits, members, 1)),
+            std::vector<StateVarId>{copy});
+  pruner.record(1, {word}, refute_by_sat(word, 1));
+  const FrontierPruner::Justification read_just = refute_by_sat(read, 1);
+  ASSERT_EQ(read_just.other_lits, std::vector<encode::Lit>{quiet});
+  pruner.record(1, {read}, read_just);
+
+  // Frame 2. copy_q reads read_q at frame 1, which its record proves equal
+  // as long as `quiet` is assumed. read_q reads the word at frame 1, whose
+  // lemma only says "equal or exempt": it stays with SAT and can differ.
+  EXPECT_EQ(emit_frame_lemmas(miter, pruner, 2), 2u);
+  members = {read, copy};
+  miter.register_candidates(members, 2);
+  std::unordered_set<std::int32_t> loud = lits;
+  loud.erase(quiet.index());
+  std::vector<StateVarId> unproven = members;
+  EXPECT_TRUE(refute_structurally(miter, pruner, eq_set, loud, unproven, 2).empty());
+  EXPECT_EQ(refuted_of(refute_structurally(miter, pruner, eq_set, lits, members, 2)),
+            std::vector<StateVarId>{copy});
+  ASSERT_EQ(members, std::vector<StateVarId>{read});
+  std::vector<encode::Lit> as = assumptions;
+  as.push_back(miter.diff_literal(read, 2));
+  ASSERT_EQ(scheduler.check(as).status, ipc::CheckStatus::Violated);
+  EXPECT_TRUE(miter.lit_in_model(victim));
+  as.push_back(~victim);
+  EXPECT_EQ(scheduler.check(as).status, ipc::CheckStatus::Holds);
+}
+
 // Maps literals of `ctx`'s store to the same literals of `oracle`'s: eq
 // assumptions by state variable, macro assumptions of windows 1..max_k by
 // position (both contexts encode them in the same order).
@@ -470,11 +559,11 @@ Steps run_steps(UpecContext& ctx, unsigned max_k) {
     std::vector<encode::Lit>& as = steps.assumptions[k];
     as = ctx.macros.assumptions(k);
     for (StateVarId sv : s0) as.push_back(ctx.miter.eq_assumption(sv));
-    for (;;) {
+    for (unsigned sweep = 0;; ++sweep) {
       const SweepOutcome out = sweep_frame(ctx, as, s, k, true);
       EXPECT_NE(out.status, ipc::CheckStatus::Unknown);
       // Only the first sweep of a step emits, and only from frame 2 on.
-      if (out.lemmas != 0) EXPECT_TRUE(k >= 2 && steps.structural[k].empty());
+      EXPECT_EQ(out.lemmas != 0, k >= 2 && sweep == 0) << "step " << k << " sweep " << sweep;
       steps.structural[k].insert(steps.structural[k].end(), out.unsat_groups.begin(),
                                  out.unsat_groups.begin() + out.structural);
       if (out.s_cex.empty() || out.status == ipc::CheckStatus::Unknown) break;
