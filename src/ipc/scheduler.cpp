@@ -119,17 +119,22 @@ SweepResult CheckScheduler::sweep(encode::Miter& miter,
   for (const auto& b : backends_) conflicts_before.push_back(b->stats().conflicts);
 
   // Single batch registration on the calling thread: one CNF emission
-  // regardless of worker count, so the clause stream (and every snapshot
-  // cursor) is identical across thread counts. After the first sweep over
+  // regardless of worker count, so the number of clauses the store holds at
+  // each sweep (and every snapshot cursor) is identical across thread
+  // counts and runs. Their content need not be: an Alg. 2 frame lemma
+  // carries the core of whichever worker answered, so at threads > 1 the
+  // lemma clauses can differ from run to run. After the first sweep over
   // these candidates this is a no-op and the store does not grow at all.
   miter.register_candidates(candidates, frame);
   const sat::CnfSnapshot snap = store_.snapshot();
 
   // Preprocess the sweep snapshot on the calling thread: one simplification
-  // (or a generation-cache hit) serves every worker below. The frozen set is
-  // the encode/upec layers' declaration plus this sweep's own assumption
-  // variables — everything a worker will assume or read back. Activation and
-  // diff literals are covered by the provider (Miter::frozen_vars).
+  // (or a generation-cache hit) serves every worker below. When the store
+  // grew since the last generation, only the new clauses are simplified, on
+  // top of it (sat/simplify.h). The frozen set is the encode/upec layers'
+  // declaration plus this sweep's own assumption variables — everything a
+  // worker will assume or read back. Activation and diff literals are
+  // covered by the provider (Miter::frozen_vars).
   sat::CnfSnapshot view = snap;
   if (simplifier_ != nullptr) {
     std::vector<sat::Var> frozen = options_.frozen_vars();

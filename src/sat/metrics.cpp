@@ -19,11 +19,13 @@ void append_metrics(util::MetricsSnapshot& out, const SolverStats& stats) {
 }
 
 void append_metrics(util::MetricsSnapshot& out, const SimplifyStats& stats) {
+  out.add_counter("delta_clauses", stats.delta_clauses);
   out.add_counter("eliminated_vars", stats.eliminated_vars);
   out.add_counter("failed_literals", stats.failed_literals);
   out.add_counter("fixed_vars", stats.fixed_vars);
   out.add_counter("frozen_eliminations", stats.frozen_eliminations);
   out.add_counter("resolvents_added", stats.resolvents_added);
+  out.add_counter("restored_vars", stats.restored_vars);
   out.add_counter("reuses", stats.reuses);
   out.add_counter("rounds", stats.rounds);
   out.add_counter("runs", stats.runs);
@@ -37,6 +39,7 @@ void append_metrics(util::MetricsSnapshot& out, const SimplifyStats& stats) {
   out.set_gauge("input_literals", stats.input_literals);
   out.set_gauge("input_vars", static_cast<std::uint64_t>(
                                   stats.input_vars < 0 ? 0 : stats.input_vars));
+  out.set_gauge("live_eliminated", stats.live_eliminated);
   out.set_gauge("output_clauses", stats.output_clauses);
   out.set_gauge("output_literals", stats.output_literals);
 }

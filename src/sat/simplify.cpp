@@ -5,6 +5,10 @@
 #include <chrono>
 #include <utility>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "util/trace.h"
 
 namespace upec::sat {
@@ -43,6 +47,18 @@ struct Simplifier::Work {
   const std::vector<char>& frozen;
   std::vector<LBool> assigns;
   std::vector<char> eliminated;
+  // Variables whose occurrences this run changed: the probing candidates.
+  // Seed clauses mark every variable they mention; afterwards any clause
+  // that is added, shrunk or deleted marks its variables. `retry` is the
+  // same mark, cleared when BVE tries the variable: a failed attempt fails
+  // again until one of the variable's clauses changes, so only marked
+  // variables are BVE candidates.
+  std::vector<char> touched;
+  std::vector<char> retry;
+  // False while the previous generation's output is loaded: those clauses
+  // are old work, so they neither join the subsumption queue nor mark
+  // their variables touched.
+  bool seeding = true;
 
   // Clause database: every literal lives in `arena`; a clause is the slice
   // arena[start, start + size), sorted by Lit::index(), deduplicated, never
@@ -67,10 +83,11 @@ struct Simplifier::Work {
   ElimStack elim;  // reconstruction stack
   std::vector<Lit> probe_trail;
 
-  // Reusable scratch. occ_buf holds a copy of an occurrence list that the
-  // loop walking it mutates (propagate, backward/self subsumption; a
-  // committed elimination's pos then neg lists); resolvent is the output of
-  // resolve(); sorted is add_clause's normalization buffer.
+  // Reusable scratch. occ_buf holds a copy of (or the filtered candidates
+  // of) an occurrence list that the loop walking it mutates (propagate,
+  // backward/self subsumption; a committed elimination's pos then neg
+  // lists); resolvent is the output of resolve(); sorted is add_clause's
+  // normalization buffer.
   std::vector<std::uint32_t> occ_buf;
   Clause resolvent;
   Clause sorted;
@@ -87,6 +104,8 @@ struct Simplifier::Work {
         frozen(frozen_flags),
         assigns(static_cast<std::size_t>(vars), LBool::Undef),
         eliminated(static_cast<std::size_t>(vars), 0),
+        touched(static_cast<std::size_t>(vars), 0),
+        retry(static_cast<std::size_t>(vars), 0),
         occ(static_cast<std::size_t>(vars) * 2),
         sub_budget(o.subsumption_budget),
         probe_budget(o.probe_budget) {}
@@ -115,10 +134,19 @@ struct Simplifier::Work {
     }
   }
 
+  void touch(Lits c) {
+    for (Lit l : c) {
+      const auto idx = static_cast<std::size_t>(l.var());
+      touched[idx] = 1;
+      retry[idx] = 1;
+    }
+  }
+
   void detach(std::uint32_t cid) {
     Cls& c = clauses[cid];
     if (c.deleted) return;
     c.deleted = true;
+    touch(lits(c));
     for (Lit l : lits(c)) occ_remove(l.index(), cid);
   }
 
@@ -130,6 +158,7 @@ struct Simplifier::Work {
     Lit* const end = begin + c.size;
     Lit* const it = std::find(begin, end, x);
     if (it == end) return false;
+    touch(lits(c));
     std::copy(it + 1, end, it);
     --c.size;
     occ_remove(x.index(), cid);
@@ -152,7 +181,7 @@ struct Simplifier::Work {
   }
 
   void push_subq(std::uint32_t cid) {
-    if (!opt.subsumption || in_subq[cid]) return;
+    if (!opt.subsumption || !seeding || in_subq[cid]) return;
     in_subq[cid] = 1;
     subq.push_back(cid);
   }
@@ -177,6 +206,7 @@ struct Simplifier::Work {
   // arena.
   void add_clause(Lits c) {
     if (unsat) return;
+    if (seeding) touch(c);
     sorted.assign(c.begin(), c.end());
     std::sort(sorted.begin(), sorted.end());
     const std::size_t start = arena.size();
@@ -286,7 +316,9 @@ struct Simplifier::Work {
 
   // Backward subsumption: delete every clause that contains `cid` entirely.
   // Only other clauses are detached and nothing is added, so `c` stays
-  // valid; the candidate list is copied because detach edits it.
+  // valid. Detaching edits the occurrence list and touches only the clause
+  // detached, so the candidates that pass the cheap filters are collected
+  // first, in list order.
   void backward_subsume(std::uint32_t cid) {
     const Lits c = lits(clauses[cid]);
     const std::uint64_t sig = clauses[cid].sig;
@@ -297,12 +329,15 @@ struct Simplifier::Work {
         best = i;
       }
     }
-    occ_buf = occ[static_cast<std::size_t>(c[best].index())];
-    for (std::uint32_t did : occ_buf) {
-      if (did == cid) continue;
+    occ_buf.clear();
+    for (std::uint32_t did : occ[static_cast<std::size_t>(c[best].index())]) {
       const Cls& d = clauses[did];
-      if (d.deleted || d.size < c.size()) continue;
-      if ((sig & ~d.sig) != 0) continue;
+      if (did != cid && !d.deleted && d.size >= c.size() && (sig & ~d.sig) == 0) {
+        occ_buf.push_back(did);
+      }
+    }
+    for (std::uint32_t did : occ_buf) {
+      const Cls& d = clauses[did];
       if (!spend(sub_budget, c.size() + d.size)) return;
       if (subset(c, lits(d))) {
         detach(did);
@@ -315,8 +350,9 @@ struct Simplifier::Work {
   // Self-subsuming resolution: for each literal l of `cid`, strengthen every
   // clause D ⊇ (C \ {l}) ∪ {~l} by removing ~l (the resolvent of C and D on
   // l subsumes D). Only clauses containing ~l are strengthened, never `cid`
-  // itself, and nothing is added, so `c` stays valid; each candidate list is
-  // copied because strengthening edits it.
+  // itself, and nothing is added, so `c` stays valid. Strengthening edits
+  // the occurrence list and only the clause strengthened, so each literal's
+  // filtered candidates are collected first, in list order.
   void self_subsume(std::uint32_t cid) {
     const Lits c = lits(clauses[cid]);
     for (std::size_t i = 0; i < c.size() && !unsat; ++i) {
@@ -325,11 +361,13 @@ struct Simplifier::Work {
       for (std::size_t j = 0; j < c.size(); ++j) {
         if (j != i) sig |= 1ull << (static_cast<std::uint32_t>(c[j].index()) & 63u);
       }
-      occ_buf = occ[static_cast<std::size_t>((~l).index())];
+      occ_buf.clear();
+      for (std::uint32_t did : occ[static_cast<std::size_t>((~l).index())]) {
+        const Cls& d = clauses[did];
+        if (!d.deleted && d.size >= c.size() && (sig & ~d.sig) == 0) occ_buf.push_back(did);
+      }
       for (std::uint32_t did : occ_buf) {
         const Cls& d = clauses[did];
-        if (d.deleted || d.size < c.size()) continue;
-        if ((sig & ~d.sig) != 0) continue;
         if (!spend(sub_budget, c.size() + d.size)) return;
         if (subset_except(c, i, lits(d))) {
           strengthen(did, ~l);
@@ -434,13 +472,16 @@ struct Simplifier::Work {
   void bve_pass() {
     if (!opt.bve || unsat) return;
     propagate();
-    // Cheapest variables first (fewest occurrences), ties by index: pure
-    // literals and barely-used Tseitin auxiliaries go before anything with
-    // real fan-out.
+    // Variables to retry only (the rest kept the occurrences under which
+    // this run or the previous generation already tried them). Cheapest
+    // first (fewest occurrences), ties by index: pure literals and
+    // barely-used Tseitin auxiliaries go before anything with real fan-out.
     std::vector<std::pair<std::size_t, Var>> order;
     for (Var v = 0; v < nvars; ++v) {
       const auto idx = static_cast<std::size_t>(v);
-      if (frozen[idx] || eliminated[idx] || assigns[idx] != LBool::Undef) continue;
+      if (!retry[idx] || frozen[idx] || eliminated[idx] || assigns[idx] != LBool::Undef) {
+        continue;
+      }
       const std::size_t p = occ[idx * 2].size(), n = occ[idx * 2 + 1].size();
       if (p == 0 && n == 0) continue;
       if (p > opt.bve_occurrence_cap || n > opt.bve_occurrence_cap) continue;
@@ -451,6 +492,7 @@ struct Simplifier::Work {
       if (unsat) return;
       const auto idx = static_cast<std::size_t>(v);
       if (eliminated[idx] || assigns[idx] != LBool::Undef) continue;
+      retry[idx] = 0;
       try_eliminate(v);
     }
   }
@@ -509,9 +551,9 @@ struct Simplifier::Work {
   void probing_pass() {
     if (!opt.probing || unsat) return;
     propagate();
-    // Probe only literals whose negation sits in a binary clause — the
-    // classic candidate filter: everything else cannot propagate through a
-    // binary chain and almost never fails.
+    // Probe only literals of touched variables whose negation sits in a
+    // binary clause — the classic candidate filter: everything else cannot
+    // propagate through a binary chain and almost never fails.
     std::vector<char> in_bin(occ.size(), 0);
     for (const Cls& c : clauses) {
       if (c.deleted || c.size != 2) continue;
@@ -520,7 +562,7 @@ struct Simplifier::Work {
     }
     for (Var v = 0; v < nvars && !unsat; ++v) {
       const auto idx = static_cast<std::size_t>(v);
-      if (eliminated[idx]) continue;
+      if (!touched[idx] || eliminated[idx]) continue;
       for (int s = 0; s < 2 && !unsat; ++s) {
         if (assigns[idx] != LBool::Undef) break;
         if (probe_budget == 0) return;
@@ -533,6 +575,130 @@ struct Simplifier::Work {
         }
       }
     }
+  }
+
+  // Resolvents of the eliminations being undone, flat: resolvent i is
+  // stale_lits[stale_starts[i] .. stale_starts[i + 1]) (the last one runs to
+  // the end), recorded when the clause database held stale_floor[i] clauses.
+  std::vector<Lit> stale_lits;
+  std::vector<std::uint32_t> stale_starts;
+  std::vector<std::uint32_t> stale_floor;
+
+  // Records the resolvents that eliminating st.vars[e] added, right after its
+  // saved clauses were added back.
+  void collect_resolvents(const ElimStack& st, std::size_t e) {
+    const Var v = st.vars[e];
+    const Lit pv(v, false);
+    const std::size_t begin = st.first[e], end = st.entry_end(e);
+    for (std::size_t p = begin; p < end; ++p) {
+      const Lits a = st.clause(p);
+      if (std::find(a.begin(), a.end(), pv) == a.end()) continue;
+      for (std::size_t n = begin; n < end; ++n) {
+        const Lits b = st.clause(n);
+        if (std::find(b.begin(), b.end(), ~pv) == b.end()) continue;
+        if (!resolve(a, b, v, resolvent)) continue;
+        stale_starts.push_back(static_cast<std::uint32_t>(stale_lits.size()));
+        stale_floor.push_back(static_cast<std::uint32_t>(clauses.size()));
+        stale_lits.insert(stale_lits.end(), resolvent.begin(), resolvent.end());
+      }
+    }
+  }
+
+  // A restored variable's saved clauses imply every resolvent its
+  // elimination added, so a verbatim copy of one still in the formula is
+  // redundant and is deleted like a subsumed clause. Only clauses of the
+  // previous generation's output (ids below `old_clauses`) and clauses
+  // restored for a later entry (ids from the resolvent's floor on) qualify —
+  // never the delta, nor the saved clauses that imply the copy — so each
+  // deleted clause is implied by clauses of an earlier entry, and by
+  // induction over the stack the formula keeps its models.
+  void drop_stale_resolvents(std::size_t old_clauses) {
+    for (std::size_t i = 0; i < stale_starts.size(); ++i) {
+      const std::size_t from = stale_starts[i];
+      const std::size_t to = i + 1 < stale_starts.size() ? stale_starts[i + 1] : stale_lits.size();
+      // The copy was added after root facts known then were applied; apply
+      // the current ones.
+      sorted.clear();
+      bool satisfied = false;
+      for (std::size_t j = from; j < to && !satisfied; ++j) {
+        const LBool v = value(stale_lits[j]);
+        if (v == LBool::True) satisfied = true;
+        if (v == LBool::Undef) sorted.push_back(stale_lits[j]);
+      }
+      if (satisfied || sorted.size() < 2) continue;
+      const Lits r(sorted);
+      const std::uint64_t sig = sig_of(r);
+      std::size_t best = 0;
+      for (std::size_t j = 1; j < r.size(); ++j) {
+        if (occ[static_cast<std::size_t>(r[j].index())].size() <
+            occ[static_cast<std::size_t>(r[best].index())].size()) {
+          best = j;
+        }
+      }
+      for (std::uint32_t cid : occ[static_cast<std::size_t>(r[best].index())]) {
+        const Cls& d = clauses[cid];
+        if (d.deleted || d.size != r.size() || d.sig != sig) continue;
+        if (cid >= old_clauses && cid < stale_floor[i]) continue;
+        if (!std::equal(r.begin(), r.end(), lits(d).begin())) continue;
+        detach(cid);  // edits the list walked: stop here
+        ++stats.subsumed_clauses;
+        break;
+      }
+    }
+    stale_lits = std::vector<Lit>();
+    stale_starts = std::vector<std::uint32_t>();
+    stale_floor = std::vector<std::uint32_t>();
+  }
+
+  // Brings back every variable `marked` flags, transitively: a restored
+  // variable's saved clauses come back, and any variable they mention that
+  // is still eliminated comes back too. Such a variable was eliminated later
+  // (when an entry is pushed, the formula holds no eliminated variable), so
+  // one forward walk over the stack closes the set. The walk compacts the
+  // remaining entries in place, in order, and this run's eliminations follow
+  // them. Clause ids below `old_clauses` are the previous generation's
+  // output.
+  void restore(std::vector<char>& marked, std::size_t old_clauses) {
+    ElimStack& st = elim;
+    const std::size_t nsaved = st.starts.size();
+    const std::size_t saved_lits = st.lits.size();
+    std::size_t kept = 0, kept_clauses = 0, kept_lits = 0;
+    for (std::size_t e = 0; e < st.vars.size(); ++e) {
+      const Var v = st.vars[e];
+      const std::size_t begin = st.first[e], end = st.entry_end(e);
+      if (marked[static_cast<std::size_t>(v)]) {
+        eliminated[static_cast<std::size_t>(v)] = 0;
+        ++stats.restored_vars;
+        for (std::size_t i = begin; i < end; ++i) {
+          const Lits c = st.clause(i);
+          for (Lit l : c) {
+            const auto idx = static_cast<std::size_t>(l.var());
+            if (eliminated[idx]) marked[idx] = 1;
+          }
+          add_clause(c);
+        }
+        collect_resolvents(st, e);
+        continue;
+      }
+      // Entry e moves to slot `kept`; every write lands at or before what
+      // it overwrites, after that was read.
+      st.vars[kept] = v;
+      st.first[kept++] = static_cast<std::uint32_t>(kept_clauses);
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::size_t from = st.starts[i];
+        const std::size_t to = i + 1 < nsaved ? st.starts[i + 1] : saved_lits;
+        st.starts[kept_clauses++] = static_cast<std::uint32_t>(kept_lits);
+        if (kept_lits != from) std::copy(st.lits.begin() + from, st.lits.begin() + to,
+                                         st.lits.begin() + kept_lits);
+        kept_lits += to - from;
+      }
+    }
+    st.vars.resize(kept);
+    st.first.resize(kept);
+    st.starts.resize(kept_clauses);
+    st.lits.resize(kept_lits);
+    for (Var v : st.vars) assert(!marked[static_cast<std::size_t>(v)]);
+    drop_stale_resolvents(old_clauses);
   }
 
   void run() {
@@ -580,12 +746,20 @@ CnfSnapshot Simplifier::simplify(const CnfSnapshot& snap, const std::vector<Var>
     }
   }
 
-  // A real run: free the previous generation before building the next one
-  // (its snapshot is invalid from here on, see the header).
+  // A real run builds on the cached generation when the input extends its
+  // prefix; anything else (a first call, another store) builds on an empty
+  // generation, which makes the whole input the delta.
   assert(out_ == nullptr || sid != out_->id());
-  out_.reset();
-  elim_ = ElimStack();
-  root_assigns_ = std::vector<LBool>();
+  const bool extends = out_ != nullptr && sid == in_store_id_ && nvars >= in_cursor_.vars &&
+                       nclauses >= in_cursor_.clauses;
+  if (!extends) {
+    out_.reset();
+    elim_ = ElimStack();
+    root_assigns_ = std::vector<LBool>();
+    retry_ = std::vector<char>();
+    in_cursor_ = CnfSnapshot::Cursor{};
+    frozen_flags_ = std::vector<char>();
+  }
 
   const auto t0 = std::chrono::steady_clock::now();
   ++stats_.runs;
@@ -594,61 +768,121 @@ CnfSnapshot Simplifier::simplify(const CnfSnapshot& snap, const std::vector<Var>
     if (v >= 0 && v < nvars) flags[static_cast<std::size_t>(v)] = 1;
   }
 
-  Work w(options_, stats_, nvars, flags);
-  std::uint64_t in_lits = 0;
-  snap.for_each_clause([&](const std::vector<Lit>& c) {
-    in_lits += c.size();
-    w.add_clause(c);
-  });
-  w.run();
+  {
+    // The previous generation: its root facts, its eliminated variables and
+    // its output clauses, loaded as old work. Then its store is freed (its
+    // snapshot is invalid from here on, see the header), before the new one
+    // is built.
+    Work w(options_, stats_, nvars, flags);
+    {
+      // Size each occurrence list for the clauses about to be loaded: one
+      // counting pass spares the lists their growth reallocations.
+      std::vector<std::uint32_t> count(w.occ.size(), 0);
+      const auto tally = [&count](const std::vector<Lit>& c) {
+        for (Lit l : c) ++count[static_cast<std::size_t>(l.index())];
+      };
+      if (out_ != nullptr) out_->snapshot().for_each_clause(tally);
+      snap.for_each_clause(in_cursor_.clauses, tally);
+      for (std::size_t i = 0; i < count.size(); ++i) w.occ[i].reserve(count[i]);
+    }
+    std::copy(root_assigns_.begin(), root_assigns_.end(), w.assigns.begin());
+    root_assigns_ = std::vector<LBool>();
+    for (Var v : elim_.vars) w.eliminated[static_cast<std::size_t>(v)] = 1;
+    std::copy(retry_.begin(), retry_.end(), w.retry.begin());
+    retry_ = std::vector<char>();
+    if (out_ != nullptr) {
+      w.seeding = false;
+      out_->snapshot().for_each_clause([&w](const std::vector<Lit>& c) { w.add_clause(c); });
+      w.seeding = true;
+      out_.reset();
+    }
+    const std::size_t old_clauses = w.clauses.size();
 
-  // Materialize the generation into a fresh store, preserving the variable
-  // numbering (eliminated variables simply stop occurring). Root facts come
-  // first as units, then the surviving clauses in database order.
-  auto out = std::make_unique<CnfStore>();
-  for (int v = 0; v < nvars; ++v) out->new_var();
-  std::size_t out_clauses = 0;
-  std::uint64_t out_lits = 0;
-  if (w.unsat) {
-    out->add_clause(Clause{});
-    out_clauses = 1;
-  } else {
-    Clause unit(1, Lit());
-    for (Var v = 0; v < nvars; ++v) {
-      const LBool a = w.assigns[static_cast<std::size_t>(v)];
-      if (a == LBool::Undef) continue;
-      unit[0] = Lit(v, a == LBool::False);
-      out->add_clause(unit);
-      ++out_clauses;
-      ++out_lits;
+    // The delta: raw clauses past the previous cursor. An eliminated variable
+    // that a delta clause mentions, or that the caller now freezes, comes back.
+    std::vector<char> restore(static_cast<std::size_t>(nvars), 0);
+    std::uint64_t in_lits = extends ? stats_.input_literals : 0;
+    std::uint64_t delta = 0;
+    snap.for_each_clause(in_cursor_.clauses, [&](const std::vector<Lit>& c) {
+      in_lits += c.size();
+      ++delta;
+      for (Lit l : c) {
+        const auto idx = static_cast<std::size_t>(l.var());
+        if (w.eliminated[idx]) restore[idx] = 1;
+      }
+      w.add_clause(c);
+    });
+    for (std::size_t v = 0; v < flags.size(); ++v) {
+      if (flags[v] && w.eliminated[v]) restore[v] = 1;
+      // A variable the previous generation kept frozen is new BVE work.
+      if (!flags[v] && v < frozen_flags_.size() && frozen_flags_[v]) w.touched[v] = w.retry[v] = 1;
     }
-    Clause c;
-    for (const Work::Cls& cls : w.clauses) {
-      if (cls.deleted) continue;
-      const Lits lits = w.lits(cls);
-      c.assign(lits.begin(), lits.end());
-      out->add_clause(c);
-      ++out_clauses;
-      out_lits += c.size();
+    if (extends) stats_.delta_clauses += delta;
+
+    w.elim = std::move(elim_);
+    elim_ = ElimStack();
+    w.restore(restore, old_clauses);
+    span.arg("delta_clauses", delta);
+    w.run();
+
+    // Materialize the generation into a fresh store, preserving the variable
+    // numbering (eliminated variables simply stop occurring). Root facts come
+    // first as units, then the surviving clauses in database order.
+    auto out = std::make_unique<CnfStore>();
+    for (int v = 0; v < nvars; ++v) out->new_var();
+    std::size_t out_clauses = 0;
+    std::uint64_t out_lits = 0;
+    if (w.unsat) {
+      out->add_clause(Clause{});
+      out_clauses = 1;
+    } else {
+      Clause unit(1, Lit());
+      for (Var v = 0; v < nvars; ++v) {
+        const LBool a = w.assigns[static_cast<std::size_t>(v)];
+        if (a == LBool::Undef) continue;
+        unit[0] = Lit(v, a == LBool::False);
+        out->add_clause(unit);
+        ++out_clauses;
+        ++out_lits;
+      }
+      Clause c;
+      for (const Work::Cls& cls : w.clauses) {
+        if (cls.deleted) continue;
+        const Lits lits = w.lits(cls);
+        c.assign(lits.begin(), lits.end());
+        out->add_clause(c);
+        ++out_clauses;
+        out_lits += c.size();
+      }
     }
+
+    // Publish the new generation.
+    out_ = std::move(out);
+    elim_ = std::move(w.elim);
+    root_assigns_ = std::move(w.assigns);
+    retry_ = std::move(w.retry);
+    unsat_ = w.unsat;
+    in_store_id_ = sid;
+    in_cursor_ = CnfSnapshot::Cursor{nvars, nclauses};
+    frozen_flags_ = std::move(flags);
+
+    stats_.input_vars = nvars;
+    stats_.input_clauses = nclauses;
+    stats_.input_literals = in_lits;
+    stats_.output_clauses = out_clauses;
+    stats_.output_literals = out_lits;
+    stats_.db_bytes = w.db_bytes();
+    stats_.elim_bytes = elim_.bytes();
+    stats_.live_eliminated = elim_.vars.size();
   }
 
-  // Publish the new generation.
-  out_ = std::move(out);
-  elim_ = std::move(w.elim);
-  root_assigns_ = std::move(w.assigns);
-  unsat_ = w.unsat;
-  in_store_id_ = sid;
-  in_cursor_ = CnfSnapshot::Cursor{nvars, nclauses};
-  frozen_flags_ = std::move(flags);
-
-  stats_.input_vars = nvars;
-  stats_.input_clauses = nclauses;
-  stats_.input_literals = in_lits;
-  stats_.output_clauses = out_clauses;
-  stats_.output_literals = out_lits;
-  stats_.db_bytes = w.db_bytes();
-  stats_.elim_bytes = elim_.bytes();
+  // The working database is gone now. glibc keeps most of its pages
+  // resident (the main heap's free chunks); the workers' generation switch,
+  // which comes next, allocates in their own arenas and cannot reuse them,
+  // so without this the sweep after a run peaked 4-9 MB above the run.
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
   stats_.seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return out_->snapshot();

@@ -51,29 +51,79 @@
 // shrinks). Each generation is materialized into a fresh private CnfStore,
 // so downstream consumers see a new store id: DIMACS caches invalidate, and
 // in-proc backends switch generations while keeping their learnt clauses
-// (sat/backend.h).
+// (sat/backend.h). A call that misses the cache because the store grew (the
+// next Alg. 2 frame) does not start over: it simplifies only the new clauses,
+// on top of the cached generation (below).
+//
+// Incremental generations (Nadel, Ryvchin & Strichman, "Preprocessing in
+// Incremental SAT", SAT 2012; Fazekas, Biere & Scholl, "Incremental
+// Inprocessing in SAT Solving", SAT 2019). A real run whose input has the
+// cached generation's store id and a cursor that extends it builds on that
+// generation instead of starting over; any other real run builds on an
+// empty generation, which is the same code with the whole input as delta.
+//
+//   * Delta rule. The run loads the previous generation's output clauses
+//     and root facts as old work, then the raw clauses from the old cursor
+//     to the new one. Old clauses enter no work list; the subsumption queue
+//     starts with the delta and restored clauses, BVE tries only variables
+//     whose clauses changed (those clauses mark them, and so does every
+//     clause added, shrunk or deleted during the run; a variable the
+//     previous run marked but had no round left for carries over, and so
+//     does one the previous generation froze and this one does not), and
+//     probing assumes only literals of marked variables. Budgets are per
+//     run, as before.
+//   * Restore rule. An eliminated variable comes back when a delta clause
+//     mentions it or the new frozen set names it: its saved clauses are
+//     added again and its entry leaves the elimination stack. Restoring is
+//     transitive — a still-eliminated variable that a restored clause
+//     mentions comes back too. Such a variable was eliminated later than
+//     the one restored (when an entry is pushed, the formula holds no
+//     eliminated variable), so one forward walk over the stack closes the
+//     set. The restored clauses imply every resolvent their elimination
+//     added, so a verbatim copy of one still in the formula (an old output
+//     clause, or a clause restored for a later entry) is deleted and counted
+//     as subsumed; without this, a restored variable that is not eliminated
+//     again would leave its resolvents behind as dead weight. The
+//     reconstruction stack is the remaining old entries, in order, followed
+//     by the new run's entries; root facts only accumulate.
+//   * Soundness. The old output is the projection of the old prefix onto
+//     the variables it did not eliminate, and no remaining eliminated
+//     variable occurs in the delta, the restored clauses or the frozen set,
+//     so eliminating them commutes with adding the delta: the new output is
+//     the projection of the new prefix, and reconstruct() still replays a
+//     stack whose every entry mentions only variables that are live or
+//     eliminated later.
+//
+// The output is a function of the sequence of calls, not of the last input
+// alone. A first call, or a call on another store, runs on an empty
+// generation and depends on its input only (Simplify.OutputPinned* pin it).
 //
 // Determinism: all effort budgets are operation counters, never wall clock,
 // and every pass iterates in a fixed order — the output formula is a pure
-// function of (input formula, frozen set, options). The scheduler relies on
+// function of the options and the sequence of (input formula, frozen set)
+// calls since the last run on an empty generation. The scheduler relies on
 // this for thread-count-independent frontiers.
 //
 // Memory: storage follows the flat MiniSat/SatELite layout. A run's working
 // database keeps every literal in one arena; each clause is a 16-byte record
 // (signature, start, size, deleted flag) over its slice. Strengthening and
 // root propagation shrink a slice in place, deletion only sets the flag, and
-// nothing is allocated per clause. The reconstruction stack is flat too: one
+// nothing is allocated per clause; a counting pass sizes each occurrence
+// list before the clauses are loaded. The reconstruction stack is flat too: one
 // literal vector with per-clause offsets and per-entry variable/first-clause
-// indices. A real run (not a cache hit) frees the previous generation — its
-// store and reconstruction stack — before building the new one, so two
-// generations never coexist. SimplifyStats::db_bytes and elim_bytes gauge
-// both (exported as sat.simplify.db_bytes / sat.simplify.elim_bytes).
+// indices; restoring compacts it in place. A real run (not a cache hit)
+// frees the previous generation's store as soon as its clauses are loaded,
+// before the new store is materialized, so two output stores never coexist;
+// the old stack becomes the new one. After the run the freed working
+// database is handed back to the operating system (malloc_trim on glibc).
+// SimplifyStats::db_bytes and elim_bytes gauge both (exported as
+// sat.simplify.db_bytes / sat.simplify.elim_bytes).
 //
 // Thread-safety: none. simplify() runs on the scheduler's calling thread
 // between fan-out barriers; the returned snapshot is then read concurrently
 // through CnfSnapshot's own locking. The snapshot is valid until the *next*
-// simplify() call that starts a new generation; that call frees it on entry,
-// so it must not be passed back in as the input.
+// simplify() call that starts a new generation; that call frees it once it
+// has read it, so it must not be passed back in as the input.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +158,18 @@ struct SimplifyStats {
   std::uint64_t runs = 0;    // real simplifications
   std::uint64_t reuses = 0;  // generation-cache hits
   std::uint64_t rounds = 0;  // fixed-point rounds across all runs
+  // Eliminations summed over runs: a variable that a later run restores and
+  // eliminates again counts twice. live_eliminated is one generation's size.
   std::uint64_t eliminated_vars = 0;
+  // Current generation's elimination-stack entries (variables eliminated in
+  // this or an earlier run and not restored since).
+  std::uint64_t live_eliminated = 0;
+  // Eliminated variables brought back because new clauses mention them or
+  // the caller froze them, summed over runs.
+  std::uint64_t restored_vars = 0;
+  // Raw clauses loaded on top of a previous generation, summed over runs (a
+  // run on an empty generation counts none).
+  std::uint64_t delta_clauses = 0;
   // Tripwire: eliminations of frozen variables. Any nonzero value is a bug
   // in the frozen-set plumbing (asserted 0 by tests, among them the
   // test_determinism preprocessing legs).
@@ -146,7 +207,7 @@ public:
   // into a fresh solver reproduces them. If simplification refutes the
   // formula outright the result contains an empty clause. The returned
   // snapshot is invalidated by the next simplify() call that misses the
-  // generation cache, which frees it before reading its own input.
+  // generation cache, which frees it once its clauses are loaded.
   CnfSnapshot simplify(const CnfSnapshot& snap, const std::vector<Var>& frozen);
 
   // Extends/repairs a model of the current generation into a model of the
@@ -191,6 +252,9 @@ private:
   std::unique_ptr<CnfStore> out_;
   ElimStack elim_;
   std::vector<LBool> root_assigns_;
+  // Variables whose clauses changed after BVE last tried them: the rounds
+  // ran out first. The next generation tries them again.
+  std::vector<char> retry_;
   bool unsat_ = false;
 
   // Generation-cache key: input identity + the frozen set the generation was

@@ -70,7 +70,12 @@ void render_solver_usage(std::ostringstream& os, const util::MetricsSnapshot& m,
        << p("eliminated_vars") << " vars eliminated, " << p("subsumed_clauses") << " subsumed, "
        << p("strengthened_clauses") << " strengthened, " << p("failed_literals")
        << " failed literals, " << p("fixed_vars") << " fixed; last run " << p("input_clauses")
-       << " -> " << p("output_clauses") << " clauses\n";
+       << " -> " << p("output_clauses") << " clauses";
+    if (p("delta_clauses") != 0 || p("restored_vars") != 0) {
+      os << "; incremental: " << p("delta_clauses") << " delta clauses, " << p("restored_vars")
+         << " vars restored, " << p("live_eliminated") << " eliminated in the last generation";
+    }
+    os << "\n";
   }
   for (unsigned w = 0; w < workers; ++w) {
     const std::string wp = "sat.solver.w" + std::to_string(w) + ".";

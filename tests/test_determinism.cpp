@@ -306,6 +306,33 @@ TEST(Determinism, VulnerableAlg2PreprocessToggleIdentical) {
   EXPECT_EQ(on.metrics.get("sat.simplify.frozen_eliminations"), 0u);
 }
 
+TEST(Determinism, SecureAlg2PreprocessToggleIdentical) {
+  // The countermeasure proof by unrolling (the benchmark's Alg. 2 run): each
+  // frame's generation is simplified on top of the previous one, restoring
+  // eliminated variables the new frame mentions. The proof must not react.
+  soc::SocConfig cfg;
+  cfg.pub_ram_words = 2;
+  cfg.priv_ram_words = 2;
+  const soc::Soc soc = soc::build_pulpissimo(cfg);
+  const Alg2Result off = verify_unrolled(soc, with_preprocess(countermeasure_options(), 2, false));
+  const Alg2Result on = verify_unrolled(soc, with_preprocess(countermeasure_options(), 2, true));
+  ASSERT_EQ(off.verdict, Verdict::Secure);
+  EXPECT_EQ(off.verdict, on.verdict);
+  EXPECT_EQ(off.final_k, on.final_k);
+  ASSERT_EQ(off.steps.size(), on.steps.size());
+  for (std::size_t i = 0; i < off.steps.size(); ++i) {
+    EXPECT_EQ(off.steps[i].k, on.steps[i].k) << "step " << i;
+    EXPECT_EQ(off.steps[i].iteration.removed, on.steps[i].iteration.removed) << "step " << i;
+  }
+  ASSERT_TRUE(off.induction.has_value());
+  ASSERT_TRUE(on.induction.has_value());
+  EXPECT_TRUE(off.induction->final_s == on.induction->final_s);
+  EXPECT_EQ(on.metrics.get("sat.simplify.frozen_eliminations"), 0u);
+  EXPECT_EQ(on.metrics.get("sat.simplify.runs"), 3u);
+  EXPECT_GT(on.metrics.get("sat.simplify.delta_clauses"), 0u);
+  EXPECT_EQ(off.metrics.get("sat.simplify.runs"), 0u);
+}
+
 TEST(Determinism, VulnerableAlg2IdenticalAcrossThreadCounts) {
   const soc::Soc soc = small_soc();
   const Alg2Result seq = verify_unrolled(soc, with_threads(hwpe_scenario_options(soc), 1));

@@ -10,6 +10,8 @@
 //  * simplification is idempotent (a fixed point re-simplifies to itself) and
 //    the generation cache reuses identical requests;
 //  * a backend switching generations keeps what it learned, soundly;
+//  * a generation built on the previous one (only the new clauses simplified,
+//    eliminated variables they mention restored) answers like a fresh one;
 //  * end to end, preprocessing cuts the work of a secure Alg. 1 run.
 #include <gtest/gtest.h>
 
@@ -568,14 +570,16 @@ TEST(Simplify, OutputPinnedOnRandomCorpora) {
 
 TEST(Simplify, OutputPinnedAcrossGenerations) {
   // One Simplifier over three growing generations of the warm-switch corpora:
-  // each real run replaces (and frees) the previous generation.
+  // each real run builds on the previous generation and simplifies only the
+  // delta (the first one is the whole input). The work counters are summed
+  // over the three runs.
   struct Corpus {
     std::uint32_t seed;
     PinnedRun want;
   };
   const std::vector<Corpus> corpora = {
-      {0xA11CE, {0xd6866e88a618ea4cull, 11, 28, 6}},
-      {0xBEEF, {0xab0341061f0fb031ull, 6, 24, 3}},
+      {0xA11CE, {0xb6e90ebc2c88dda0ull, 6, 12, 2}},
+      {0xBEEF, {0xa48f8fde9b7786b5ull, 2, 8, 1}},
   };
   std::vector<Var> frozen;
   for (Var v = 0; v < 12; ++v) frozen.push_back(v);
@@ -596,6 +600,125 @@ TEST(Simplify, OutputPinnedAcrossGenerations) {
     EXPECT_EQ(simp.stats().runs, 3u);
     expect_pinned(run, corpus.want);
   }
+}
+
+// --- Incremental generations --------------------------------------------------
+//
+// A run whose input extends the cached generation's prefix loads that
+// generation's output plus the delta, and brings back every eliminated
+// variable the delta mentions or the caller now freezes (sat/simplify.h).
+
+TEST(Simplify, IncrementalRestoresTransitively) {
+  // a, b, c frozen. BVE eliminates v (resolvent a | u), then u (resolvent
+  // a | b), so v's saved clause (~v | u) mentions u, eliminated after v. A
+  // delta clause on v alone must bring back both.
+  const Var a = 0, b = 1, v = 2, u = 3, c = 4;
+  std::vector<Clause> raw = {{pos(v), pos(a)}, {neg(v), pos(u)}, {neg(u), pos(b)}};
+  CnfStore store;
+  fill(store, 5, raw);
+  const std::vector<Var> frozen = {a, b, c};
+  Simplifier simp;
+  simp.simplify(store.snapshot(), frozen);
+  ASSERT_EQ(simp.stats().eliminated_vars, 2u);
+  ASSERT_EQ(simp.stats().live_eliminated, 2u);
+
+  raw.push_back({neg(v), pos(c)});
+  store.add_clause(raw.back());
+  const CnfSnapshot view = simp.simplify(store.snapshot(), frozen);
+  EXPECT_EQ(simp.stats().runs, 2u);
+  EXPECT_EQ(simp.stats().delta_clauses, 1u);
+  EXPECT_EQ(simp.stats().restored_vars, 2u);
+  EXPECT_EQ(simp.stats().frozen_eliminations, 0u);
+  EXPECT_EQ(simp.stats().live_eliminated, simp.stats().eliminated_vars - 2u);
+
+  // Every assignment of the frozen variables: the view answers like the raw
+  // store, and each model reconstructs to a model of it.
+  for (int bits = 0; bits < 8; ++bits) {
+    const std::vector<Lit> assumptions = {Lit(a, (bits & 1) == 0), Lit(b, (bits & 2) == 0),
+                                          Lit(c, (bits & 4) == 0)};
+    SCOPED_TRACE("bits " + std::to_string(bits));
+    const auto base = solve(store.snapshot(), assumptions);
+    const auto simplified = solve(view, assumptions);
+    ASSERT_EQ(base.has_value(), simplified.has_value());
+    if (!simplified) continue;
+    std::vector<bool> model = *simplified;
+    simp.reconstruct(model);
+    EXPECT_TRUE(satisfies(model, raw));
+    for (Lit l : assumptions) EXPECT_TRUE(lit_true(model, l));
+  }
+}
+
+TEST(Simplify, RestoringDropsTheResolventsItUndoes) {
+  // BVE eliminates v into the resolvent (a | b). Freezing v brings it back
+  // with its two saved clauses, which imply (a | b): that copy leaves the
+  // formula, so nothing redundant stays behind.
+  const Var a = 0, b = 1, v = 2;
+  const std::vector<Clause> raw = {{pos(a), pos(v)}, {pos(b), neg(v)}};  // index order
+  CnfStore store;
+  fill(store, 3, raw);
+  Simplifier simp;
+  const CnfSnapshot first = simp.simplify(store.snapshot(), {a, b});
+  ASSERT_EQ(simp.stats().live_eliminated, 1u);
+  ASSERT_EQ(first.num_clauses(), 1u);
+
+  const CnfSnapshot view = simp.simplify(store.snapshot(), {a, b, v});
+  EXPECT_EQ(simp.stats().runs, 2u);
+  EXPECT_EQ(simp.stats().restored_vars, 1u);
+  EXPECT_EQ(simp.stats().live_eliminated, 0u);
+  EXPECT_EQ(simp.stats().frozen_eliminations, 0u);
+  std::vector<Clause> out;
+  view.for_each_clause([&out](const std::vector<Lit>& c) { out.push_back(c); });
+  EXPECT_EQ(out, raw);
+}
+
+TEST(Simplify, IncrementalMatchesFreshAcrossGenerations) {
+  // Each formula grows over five generations while a window of frozen
+  // variables slides by three each time: variables it releases become BVE
+  // work, and eliminated variables it reaches must come back. At every
+  // generation the incremental view and a fresh Simplifier's view of the
+  // same input answer alike under frozen-literal assumptions, and
+  // reconstructed models satisfy the raw store.
+  std::mt19937 rng(0x1DE17A);
+  std::uniform_int_distribution<int> coin(0, 1);
+  const int new_vars[] = {60, 3, 3, 3, 3};
+  const std::size_t new_clauses[] = {200, 10, 10, 10, 10};
+  std::uint64_t restored = 0, delta = 0;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<Clause> raw;
+    CnfStore store;
+    Simplifier simp;
+    for (int gen = 0; gen < 5; ++gen) {
+      SCOPED_TRACE("round " + std::to_string(round) + " generation " + std::to_string(gen + 1));
+      grow(store, rng, new_vars[gen], new_clauses[gen], raw);
+      std::vector<Var> frozen = {0, 1, 2, 3};
+      for (Var v = 4 + 3 * gen; v < 12 + 3 * gen; ++v) frozen.push_back(v);
+      const CnfSnapshot original = store.snapshot();
+      const CnfSnapshot view = simp.simplify(original, frozen);
+      ASSERT_EQ(simp.stats().frozen_eliminations, 0u);
+      ASSERT_EQ(simp.stats().runs, static_cast<std::uint64_t>(gen + 1));
+      Simplifier fresh;
+      const CnfSnapshot fresh_view = fresh.simplify(original, frozen);
+
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<Lit> assumptions;
+        for (Var v : frozen) {
+          if (trial > 0 && coin(rng) == 1) assumptions.push_back(Lit(v, coin(rng) == 1));
+        }
+        const auto incremental = solve(view, assumptions);
+        ASSERT_EQ(incremental.has_value(), solve(fresh_view, assumptions).has_value())
+            << "trial " << trial;
+        if (!incremental) continue;
+        std::vector<bool> model = *incremental;
+        simp.reconstruct(model);
+        EXPECT_TRUE(satisfies(model, raw)) << "trial " << trial;
+        for (Lit l : assumptions) EXPECT_TRUE(lit_true(model, l)) << "trial " << trial;
+      }
+    }
+    restored += simp.stats().restored_vars;
+    delta += simp.stats().delta_clauses;
+  }
+  EXPECT_GT(restored, 0u);
+  EXPECT_EQ(delta, 20u * 40u);
 }
 
 TEST(Simplify, OutputPinnedOnGateChain) {
